@@ -22,6 +22,11 @@ Host::Host(sim::Engine& engine, const HostSpec& spec)
       mem_read_(engine.new_resource(spec.name + ":mem:rd", spec.mem_read_bw)),
       mem_write_(engine.new_resource(spec.name + ":mem:wr", spec.mem_write_bw)) {
   if (spec.cores <= 0) throw PlatformError("host '" + spec.name + "': cores must be positive");
+  // A zero-speed CPU never finishes a compute activity: the run would spin
+  // forever instead of failing.  The negated form also rejects NaN.
+  if (!(spec.speed > 0.0)) {
+    throw PlatformError("host '" + spec.name + "': speed_gflops must be positive");
+  }
   if (spec.ram < 0.0) throw PlatformError("host '" + spec.name + "': negative RAM");
 }
 

@@ -131,9 +131,12 @@ ScenarioSpec ScenarioSpec::parse(const util::Json& doc, const std::string& base_
   }
   spec.warm_inputs = doc.bool_or("warm_inputs", default_is_nfs);
   spec.solve_batching = doc.bool_or("solve_batching", true);
-  spec.solver_threads = static_cast<int>(doc.number_or("solver_threads", 1.0));
-  if (spec.solver_threads < 0) {
-    throw ScenarioError("solver_threads must be >= 0 (0 = auto)");
+  // Rejected, not ignored: an old solver_threads sweep would otherwise run
+  // N identical cases under N different labels.
+  if (doc.contains("solver_threads")) {
+    throw ScenarioError(
+        "\"solver_threads\" was removed: the engine solves fair-share components "
+        "serially; delete the key (use --jobs to run sweep cases in parallel)");
   }
   if (doc.contains("metrics")) {
     const util::Json& m = doc.at("metrics");
@@ -306,9 +309,6 @@ util::Json ScenarioSpec::to_json() const {
   doc.set("probe_period", probe_period);
   doc.set("warm_inputs", warm_inputs);
   doc.set("solve_batching", solve_batching);
-  // Emitted only when non-default: committed recorded logs embed this
-  // document and must stay byte-stable (same rule as the fault keys below).
-  if (solver_threads != 1) doc.set("solver_threads", solver_threads);
   if (metrics_interval > 0.0) {
     util::Json m{util::JsonObject{}};
     m.set("interval", metrics_interval);

@@ -200,77 +200,67 @@ TEST(EngineDeterminism, CrossCheckCatchesCapacityEdits) {
   EXPECT_NEAR(engine.now(), 18.0, 0.05);
 }
 
-// --- Parallel component solving (solver_threads) --------------------------
+// --- Multi-tenant fingerprints ---------------------------------------------
 //
-// The worker pool must be invisible in the results: for any thread count
-// the simulation is bit-identical to the serial engine — same scheduling
-// points, same ns-granular checksum, same makespan — because components
-// are disjoint and the merge happens in component-id order on the driving
-// thread.  These tests assert that contract on the 1000-actor scenario and
-// on the multi-tenant shape that actually exercises the pool; the ~100k
-// stress version lives in parallel_solver_test.
+// mega_tenant clones every actor per tenant with identical seeds, so each
+// batched scheduling point carries many independent dirty components.  The
+// engine pushes their completion entries in BFS order; the recorded
+// constants below pin that this order never shows in the simulated timeline.
 
-/// Runs `config` at every thread count in {1, 2, 8} plus a repeat of the
-/// serial run, and asserts all results are bitwise equal to the first.
-void expect_parallel_bit_identical(CoreScenarioConfig config) {
-  config.solver_threads = 1;
-  const CoreScenarioResult serial = run_core_scenario(config);
-  const CoreScenarioResult serial_again = run_core_scenario(config);
-  EXPECT_EQ(serial.checksum_ns, serial_again.checksum_ns);
-  EXPECT_EQ(serial.scheduling_points, serial_again.scheduling_points);
-  for (int threads : {2, 8}) {
-    config.solver_threads = threads;
-    const CoreScenarioResult parallel = run_core_scenario(config);
-    const CoreScenarioResult parallel_again = run_core_scenario(config);
-    EXPECT_EQ(serial.scheduling_points, parallel.scheduling_points) << "threads=" << threads;
-    EXPECT_EQ(serial.fair_share_solves, parallel.fair_share_solves) << "threads=" << threads;
-    EXPECT_EQ(serial.components_solved, parallel.components_solved) << "threads=" << threads;
-    EXPECT_EQ(serial.final_vtime, parallel.final_vtime) << "threads=" << threads;  // bitwise
-    EXPECT_EQ(serial.completion_checksum, parallel.completion_checksum)
-        << "threads=" << threads;
-    EXPECT_EQ(serial.checksum_ns, parallel.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(serial.cancelled_activities, parallel.cancelled_activities)
-        << "threads=" << threads;
-    // Run-twice at the same width: the pool schedule may differ, results not.
-    EXPECT_EQ(parallel.checksum_ns, parallel_again.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(parallel.final_vtime, parallel_again.final_vtime) << "threads=" << threads;
-  }
+TEST(EngineDeterminism, MegaTenantMatchesRecordedFingerprint) {
+  const CoreScenarioConfig config = mega_tenant_config(10);
+  const CoreScenarioResult a = run_core_scenario(config);
+  EXPECT_EQ(a.activities, 30000u);
+  EXPECT_EQ(a.checksum_ns, 3539075476010u);
+  EXPECT_EQ(a.final_vtime, 0x1.c28bf9b18607dp-3);  // 0.21999354432114507
+  EXPECT_EQ(a.completion_checksum, 0x1.ba626a4c4d0acp+11);  // 3539.0754758362509
+  EXPECT_EQ(a.scheduling_points, 3000u);
+  EXPECT_EQ(a.components_solved, 30000u);
+  // Run twice: bit-identical.
+  const CoreScenarioResult b = run_core_scenario(config);
+  EXPECT_EQ(a.checksum_ns, b.checksum_ns);
+  EXPECT_EQ(a.final_vtime, b.final_vtime);
+  EXPECT_EQ(a.completion_checksum, b.completion_checksum);
+  EXPECT_EQ(a.scheduling_points, b.scheduling_points);
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOn1000Actors) {
-  CoreScenarioConfig config;
-  config.actors = 1000;
-  config.groups = 100;
-  config.rounds = 3;
-  expect_parallel_bit_identical(config);
-}
-
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOnMultiTenant) {
-  // 10 tenants x 1000 actors: tenant clones align timestamps, so batched
-  // scheduling points carry many dirty components and the pool actually
-  // engages (asserted via parallel_solves below).
-  CoreScenarioConfig config = mega_tenant_config(10);
-  config.solver_threads = 2;
-  const CoreScenarioResult parallel = run_core_scenario(config);
-  EXPECT_GT(parallel.parallel_solves, 0u);
-  expect_parallel_bit_identical(config);
-}
-
-TEST(EngineDeterminism, ParallelSolveBitIdenticalUnderHostCrash) {
-  // PR 6 disruption semantics meet the pool: a tenant crash mid-run
-  // (cancel_group from a driver actor) retires whole components while
-  // other components are still being solved in parallel batches.  The
-  // merge order — and therefore every timing — must not notice.
+TEST(EngineDeterminism, MegaTenantCrossChecksAgainstFullSolve) {
+  // Every multi-component solve must match a from-scratch progressive
+  // filling over the whole platform.  The full solve is quadratic in the
+  // running activities, so the tenants are kept small.
   CoreScenarioConfig config = mega_tenant_config(4);
-  config.solver_threads = 1;
-  const CoreScenarioResult dry = run_core_scenario(config);
-  config.crash_time = dry.final_vtime / 2.0;
-  config.crash_tenant = 2;
-  const CoreScenarioResult crashed = run_core_scenario(config);
-  EXPECT_GT(crashed.cancelled_activities, 0u);
-  EXPECT_LT(crashed.cancelled_activities, crashed.activities);
-  expect_parallel_bit_identical(config);
+  config.actors = 200;
+  config.groups = 20;
+  config.rounds = 2;
+  config.solver_cross_check = true;
+  const CoreScenarioResult checked = run_core_scenario(config);
+  config.solver_cross_check = false;
+  const CoreScenarioResult plain = run_core_scenario(config);
+  EXPECT_EQ(checked.checksum_ns, plain.checksum_ns);
+  EXPECT_EQ(checked.final_vtime, plain.final_vtime);
+  EXPECT_EQ(checked.checksum_ns, 134263141444u);
+  EXPECT_EQ(checked.components_solved, 1600u);
 }
+
+TEST(EngineDeterminism, MegaTenantHostCrashIsBitIdentical) {
+  // A tenant crash mid-run (cancel_group from a driver actor) retires whole
+  // components at one scheduling point while the others keep running.
+  CoreScenarioConfig config = mega_tenant_config(10);
+  config.crash_time = 0x1.c28bf9b18607dp-3 / 2.0;  // half the recorded makespan
+  config.crash_tenant = 5;
+  const CoreScenarioResult a = run_core_scenario(config);
+  const CoreScenarioResult b = run_core_scenario(config);
+  EXPECT_EQ(a.cancelled_activities, 981u);
+  EXPECT_EQ(a.checksum_ns, 3278582291423u);
+  EXPECT_EQ(a.final_vtime, 0x1.c28bf9b18607dp-3);
+  EXPECT_EQ(a.scheduling_points, 3001u);
+  EXPECT_EQ(a.components_solved, 28443u);
+  EXPECT_EQ(a.cancelled_activities, b.cancelled_activities);
+  EXPECT_EQ(a.checksum_ns, b.checksum_ns);
+  EXPECT_EQ(a.final_vtime, b.final_vtime);
+  EXPECT_EQ(a.completion_checksum, b.completion_checksum);
+}
+
 //
 // Fault injection (scenario "events") is built on Engine::cancel_group;
 // these tests pin its edge semantics directly: cancelling an actor blocked

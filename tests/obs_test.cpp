@@ -124,18 +124,6 @@ TEST(ObsTimeline, RunToRunByteIdentical) {
   expect_same_simulation(second, first);
 }
 
-TEST(ObsTimeline, SolverThreadsInvariant) {
-  util::Json doc = sampled_doc();
-  ScenarioSpec serial = ScenarioSpec::parse(doc);
-  doc.set("solver_threads", 8);
-  ScenarioSpec threaded = ScenarioSpec::parse(doc);
-  RunResult a = run_scenario(serial);
-  RunResult b = run_scenario(threaded);
-  ASSERT_FALSE(a.timeline.is_null());
-  EXPECT_EQ(a.timeline.dump(2), b.timeline.dump(2));
-  expect_same_simulation(b, a);
-}
-
 TEST(ObsTimeline, SamplerIsPureObservation) {
   RunResult sampled = run_scenario(ScenarioSpec::parse(sampled_doc()));
   RunResult plain = run_scenario(ScenarioSpec::parse(sampled_doc(0.0)));
@@ -169,9 +157,8 @@ TEST(ObsTimeline, CarriesTheExpectedColumns) {
 
 TEST(ObsTimeline, GoldenQuickstartTimeline) {
   // The committed timeline is what `pcs_cli run scenarios/quickstart.json
-  // --metrics-interval 2 --timeline ...` writes; CI re-derives it at
-  // --jobs/solver_threads variants and diffs.  Regenerate with that command
-  // if the schema changes deliberately.
+  // --metrics-interval 2 --timeline ...` writes; CI re-derives it and
+  // diffs.  Regenerate with that command if the schema changes deliberately.
   ScenarioSpec spec =
       ScenarioSpec::from_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
   spec.metrics_interval = 2.0;
@@ -214,12 +201,11 @@ TEST(ObsProfiler, ReportAndJsonAgree) {
   obs::EngineProfile profile;
   profile.recompute_rates.add(0.5);
   profile.bfs.add(0.1);
-  profile.ensure_slots(2);
-  profile.slot_solve[0].add(0.2);
+  profile.solve.add(0.2);
   const util::Json j = profile.to_json();
   EXPECT_EQ(j.at("recompute_rates").at("count").as_number(), 1.0);
   EXPECT_EQ(j.at("recompute_rates").at("seconds").as_number(), 0.5);
-  EXPECT_EQ(j.at("slot_solve").size(), 2u);
+  EXPECT_EQ(j.at("solve").at("seconds").as_number(), 0.2);
   const std::string text = profile.report();
   EXPECT_NE(text.find("recompute_rates"), std::string::npos);
   EXPECT_NE(text.find("bfs"), std::string::npos);

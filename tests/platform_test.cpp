@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -28,6 +30,17 @@ TEST(Platform, HostValidation) {
   bad = test::small_host("y", 1e9, 1e8);
   bad.ram = -1.0;
   EXPECT_THROW(platform.add_host(bad), PlatformError);
+  for (double speed : {0.0, -1e9}) {
+    bad = test::small_host("slow", 1e9, 1e8);
+    bad.speed = speed;
+    try {
+      platform.add_host(bad);
+      FAIL() << "speed " << speed << " must be rejected";
+    } catch (const PlatformError& e) {
+      EXPECT_NE(std::string(e.what()).find("host 'slow'"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("speed_gflops"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Platform, HostResourcesMatchSpec) {

@@ -4,6 +4,9 @@
 // multi-tenant workload), and the effective-spec dump.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "platform/platform.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "storage/service_registry.hpp"
@@ -106,25 +109,19 @@ TEST(ScenarioSpec, EffectiveDumpParsesBack) {
   EXPECT_EQ(again.default_service, spec.default_service);
 }
 
-TEST(ScenarioSpec, SolverThreadsParsesValidatesAndRoundTrips) {
+TEST(ScenarioSpec, RemovedSolverThreadsKeyIsRejected) {
   util::Json doc = scenario_doc(node_platform());
-  EXPECT_EQ(ScenarioSpec::parse(doc).solver_threads, 1);
-  // Default omitted from the effective dump: committed recorded logs embed
-  // this document and must stay byte-stable across the parallel-solver PR.
   EXPECT_FALSE(ScenarioSpec::parse(doc).to_json().contains("solver_threads"));
-
-  doc.set("solver_threads", 4);
-  ScenarioSpec spec = ScenarioSpec::parse(doc);
-  EXPECT_EQ(spec.solver_threads, 4);
-  ScenarioSpec again = ScenarioSpec::parse(util::Json::parse(spec.to_json().dump(2)));
-  EXPECT_EQ(again.solver_threads, 4);
-
-  doc.set("solver_threads", 0);  // 0 = auto (hardware_concurrency)
-  EXPECT_EQ(ScenarioSpec::parse(doc).solver_threads, 0);
-  EXPECT_TRUE(ScenarioSpec::parse(doc).to_json().contains("solver_threads"));
-
-  doc.set("solver_threads", -2);
-  EXPECT_THROW(ScenarioSpec::parse(doc), ScenarioError);
+  // Rejected rather than ignored: an old sweep over the key would otherwise
+  // print identical cases under different labels.
+  doc.set("solver_threads", 1);
+  try {
+    ScenarioSpec::parse(doc);
+    FAIL() << "a document with \"solver_threads\" must not parse";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"solver_threads\" was removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServiceRegistry, KnowsBuiltInBackends) {
@@ -145,6 +142,22 @@ TEST(ScenarioRunner, RunsMinimalLocalScenario) {
   EXPECT_EQ(result.tasks.size(), 3u);
   EXPECT_GT(result.makespan, 0.0);
   EXPECT_GT(result.final_state.cached, 0.0);
+}
+
+TEST(ScenarioRunner, ZeroSpeedHostFailsInsteadOfHanging) {
+  // The quickstart with "speed_gflops": 0 used to spin forever: its compute
+  // activity ran at rate 0 and never completed.
+  ScenarioSpec spec = ScenarioSpec::from_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
+  util::Json host = spec.platform.at("hosts").at(0);
+  host.set("speed_gflops", 0.0);
+  spec.platform.set("hosts", util::Json{util::JsonArray{}}.push_back(std::move(host)));
+  try {
+    run_scenario(spec);
+    FAIL() << "a zero-speed host must be rejected";
+  } catch (const plat::PlatformError& e) {
+    EXPECT_NE(std::string(e.what()).find("host 'node0'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("speed_gflops"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ScenarioRunner, UnknownBackendAndServiceFail) {
