@@ -110,6 +110,8 @@ CoreScenarioResult run_core_scenario(const CoreScenarioConfig& config) {
                       static_cast<std::uint64_t>(config.rounds);
   result.components_solved = engine.components_solved();
   result.cancelled_activities = engine.cancelled_activities();
+  result.running_peak = engine.running_activity_peak();
+  result.completion_heap_peak = engine.completion_heap().peak();
   for (double c : checksums) result.completion_checksum += c;
   for (std::uint64_t c : ns_checksums) result.checksum_ns += c;
   return result;

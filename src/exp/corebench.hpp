@@ -66,6 +66,8 @@ struct CoreScenarioResult {
   std::uint64_t checksum_ns = 0;
   std::uint64_t components_solved = 0;  ///< dirty components enumerated
   std::uint64_t cancelled_activities = 0;  ///< from the crash driver, if any
+  std::uint64_t running_peak = 0;          ///< most activities running at once
+  std::uint64_t completion_heap_peak = 0;  ///< largest completion-heap size
 };
 
 CoreScenarioResult run_core_scenario(const CoreScenarioConfig& config);

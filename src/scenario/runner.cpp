@@ -72,6 +72,9 @@ RunResult run_prototype(const ScenarioSpec& spec) {
 
   proto::AnalyticSim psim(config);
   const std::string prefix = workload::instance_prefix(0);
+  // Every task reads and writes one input_size file.
+  wf::check_chunk_count(prefix + "task1", wf::FileSpec{prefix + "file1", input_size},
+                        spec.chunk_size);
   psim.stage_file(prefix + "file1", input_size);
 
   RunResult result;

@@ -13,9 +13,10 @@
 //
 // Lifetime: a slot stays live while the activity is running or any external
 // ActivityRef handle points at it (`ext_refs`).  Release bumps the slot's
-// generation so recycled slots are distinguishable; completion-heap entries
-// use the per-slot monotone `version` (never reset on reuse) so stale
-// entries can never alias a successor activity.  The arena is owned by a
+// generation so recycled slots are distinguishable.  `heap_pos` is the
+// slot's index in the engine's completion heap (completion_heap.hpp); a
+// slot leaves the heap when its activity completes or is cancelled, so a
+// recycled slot never inherits an entry.  The arena is owned by a
 // shared_ptr: handles that outlive the Engine keep the storage alive, which
 // preserves the old "detached ActivityPtr survives engine teardown"
 // semantics.
@@ -37,6 +38,8 @@ class Engine;
 /// Index of an activity slot in the arena.
 using ActivitySlot = std::uint32_t;
 inline constexpr ActivitySlot kNoActivity = std::numeric_limits<ActivitySlot>::max();
+/// `ActivityArena::heap_pos` of a slot outside the completion heap.
+inline constexpr std::uint32_t kNoHeapPos = std::numeric_limits<std::uint32_t>::max();
 
 class ActivityArena {
  public:
@@ -48,8 +51,8 @@ class ActivityArena {
   std::vector<double> completion_time;  ///< projected completion (kInf if none)
   std::vector<std::uint64_t> id;        ///< submission id: deterministic tie-break
   std::vector<std::uint64_t> visit_mark;  ///< component-BFS visit stamp
-  std::vector<std::uint64_t> version;   ///< monotone; invalidates stale heap entries
   std::vector<std::uint32_t> run_index;  ///< position in Engine::running_
+  std::vector<std::uint32_t> heap_pos;   ///< position in the completion heap, or kNoHeapPos
   std::vector<std::uint8_t> done;
   std::vector<std::uint8_t> scratch_assigned;  ///< progressive-filling scratch
   std::vector<double> scratch_check_rate;      ///< full-solve cross-check scratch
@@ -74,8 +77,7 @@ class ActivityArena {
   Engine* engine = nullptr;
 
   /// Claim a slot (recycling the freelist head if any) and initialize it
-  /// for a fresh submission.  `version` is intentionally NOT reset on
-  /// reuse: heap entries of the previous incarnation stay stale forever.
+  /// for a fresh submission.
   ActivitySlot alloc(std::uint64_t act_id, std::string label, std::vector<Claim> claims,
                      double amount, double rate_bound, double start_time) {
     ActivitySlot s;
@@ -92,8 +94,8 @@ class ActivityArena {
       completion_time.push_back(0.0);
       id.push_back(0);
       visit_mark.push_back(0);
-      version.push_back(0);
       run_index.push_back(0);
+      heap_pos.push_back(kNoHeapPos);
       done.push_back(0);
       scratch_assigned.push_back(0);
       scratch_check_rate.push_back(0.0);
@@ -107,6 +109,7 @@ class ActivityArena {
     id[s] = act_id;
     visit_mark[s] = 0;
     run_index[s] = 0;
+    heap_pos[s] = kNoHeapPos;
     done[s] = 0;
     scratch_assigned[s] = 0;
     scratch_check_rate[s] = 0.0;
@@ -125,6 +128,7 @@ class ActivityArena {
   /// and no external handle references it.
   void release(ActivitySlot s) {
     assert(done[s] && cold[s].ext_refs == 0 && "releasing a live activity slot");
+    assert(heap_pos[s] == kNoHeapPos && "releasing a slot still in the completion heap");
     Cold& c = cold[s];
     ++c.generation;
     c.label.clear();
@@ -161,8 +165,8 @@ class ActivityArena {
   /// memory).  Claim vectors inside cold records are counted too.
   [[nodiscard]] std::size_t bytes_reserved() const {
     std::size_t bytes = remaining.capacity() * sizeof(double) * 6  // 6 double arrays
-                        + id.capacity() * sizeof(std::uint64_t) * 3
-                        + run_index.capacity() * sizeof(std::uint32_t)
+                        + id.capacity() * sizeof(std::uint64_t) * 2
+                        + run_index.capacity() * sizeof(std::uint32_t) * 2
                         + done.capacity() * 2 + cold.capacity() * sizeof(Cold);
     for (const Cold& c : cold) bytes += c.claims.capacity() * sizeof(Claim);
     return bytes;

@@ -24,7 +24,7 @@ void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
   engine_.schedule_at(wake_time_, h);
 }
 
-Engine::Engine() : arena_(std::make_shared<ActivityArena>()) {
+Engine::Engine() : arena_(std::make_shared<ActivityArena>()), completions_(*arena_) {
   arena_->engine = this;
   util::Logger::instance().set_clock([this] { return now_; });
 }
@@ -82,6 +82,7 @@ ActivityPtr Engine::submit_detached(std::string label, std::vector<Claim> claims
   }
   a.run_index[slot] = static_cast<std::uint32_t>(running_.size());
   running_.push_back(slot);
+  if (running_.size() > running_peak_) running_peak_ = running_.size();
   if (a.cold[slot].claims.empty()) {
     // A claimless activity is its own fair-share component: its rate is its
     // bound (or the unconstrained rate) and never changes, so the solver
@@ -233,29 +234,13 @@ void Engine::sync_remaining(ActivitySlot slot) {
 
 void Engine::update_completion(ActivitySlot slot) {
   ActivityArena& a = *arena_;
-  ++a.version[slot];
   a.completion_time[slot] =
       a.rate[slot] > 0.0 ? now_ + a.remaining[slot] / a.rate[slot] : kInf;
-  if (a.completion_time[slot] < kInf) {
-    completions_.push(
-        CompletionEntry{a.completion_time[slot], a.id[slot], a.version[slot], slot});
-  }
+  completions_.update(slot);
 }
 
-double Engine::heap_top_time() {
-  const ActivityArena& a = *arena_;
-  while (!completions_.empty()) {
-    const CompletionEntry& e = completions_.top();
-    // Stale if the activity finished or was re-solved since the push.  A
-    // recycled slot can never alias: the per-slot version is monotone
-    // across reuses, so entries of a previous incarnation stay stale.
-    if (a.done[e.slot] || e.version != a.version[e.slot]) {
-      completions_.pop();
-      continue;
-    }
-    return e.time;
-  }
-  return kInf;
+double Engine::heap_top_time() const {
+  return completions_.empty() ? kInf : arena_->completion_time[completions_.top()];
 }
 
 void Engine::solve_component(std::vector<ActivitySlot>& acts) {
@@ -318,8 +303,8 @@ void Engine::recompute_rates() {
       obs::ScopedTimer solve_timer(profiler_ != nullptr ? &profiler_->solve : nullptr);
       for (std::size_t i = 0; i < component_count_; ++i) solve_component(components_[i]);
     }
-    // Push the fresh completion entries.  Their order does not matter: the
-    // heap is keyed by (time, id), each activity has at most one valid
+    // Re-key the solved activities' completion entries.  Their order does
+    // not matter: the heap is keyed by (time, id), each activity has one
     // entry, and step() completes each timestamp batch in id order.
     obs::ScopedTimer merge_timer(profiler_ != nullptr ? &profiler_->merge : nullptr);
     for (std::size_t i = 0; i < component_count_; ++i) {
@@ -453,7 +438,7 @@ void Engine::cancel_activity(ActivitySlot slot) {
   a.done[slot] = 1;
   a.cold[slot].end_time = now_;
   a.rate[slot] = 0.0;
-  ++a.version[slot];  // drop any still-queued completion entry
+  completions_.erase(slot);
   deregister_claims(slot);
 
   const std::size_t idx = a.run_index[slot];
@@ -479,7 +464,9 @@ void Engine::complete_activity(ActivitySlot slot) {
   a.done[slot] = 1;
   a.cold[slot].end_time = now_;
   a.rate[slot] = 0.0;
-  ++a.version[slot];  // drop any still-queued completion entry
+  // step() popped the slot, but a per-event solve of an earlier completion
+  // in the same batch may have re-inserted it.
+  completions_.erase(slot);
   deregister_claims(slot);
 
   // Swap-remove from the running set.
@@ -542,20 +529,14 @@ void Engine::step(double time_limit) {
     // Activities whose completion lands at this scheduling point (within
     // relative tolerance, so simultaneous finishes stay simultaneous),
     // completed in submission order — the same order the former full scan
-    // over `running_` used.  Only the newest heap entry of a slot passes
-    // the version check, so the batch holds each activity at most once.
+    // over `running_` used.  Each activity has one heap entry, so the batch
+    // holds it at most once.
     completed_scratch_.clear();
     {
       ActivityArena& a = *arena_;
-      while (!completions_.empty()) {
-        const CompletionEntry& e = completions_.top();
-        if (a.done[e.slot] || e.version != a.version[e.slot]) {
-          completions_.pop();
-          continue;
-        }
-        if (e.time > t_next + tol) break;
-        completed_scratch_.push_back(e.slot);
-        completions_.pop();
+      while (!completions_.empty() && a.completion_time[completions_.top()] <= t_next + tol) {
+        completed_scratch_.push_back(completions_.top());
+        completions_.erase(completions_.top());
       }
       std::sort(completed_scratch_.begin(), completed_scratch_.end(),
                 [&a](ActivitySlot x, ActivitySlot y) { return a.id[x] < a.id[y]; });

@@ -13,8 +13,8 @@
 // re-solves only the connected components of the activity/resource
 // incumbency graph reachable from dirty resources.  Activities elsewhere
 // keep their rates, their progress is tracked lazily through per-activity
-// last-update timestamps, and their completion times sit unchanged in a
-// min-heap — so an event's cost scales with the size of the component it
+// last-update timestamps, and their completion-heap entries stay where they
+// are — so an event's cost scales with the size of the component it
 // touched, not with the number of running activities.  The allocation a
 // component solve produces is bit-identical to a full progressive-filling
 // solve (components do not interact, and iteration orders are preserved);
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "simcore/activity.hpp"
+#include "simcore/completion_heap.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/task.hpp"
 
@@ -174,6 +175,12 @@ class Engine {
   // --- introspection -----------------------------------------------------
 
   [[nodiscard]] std::size_t running_activity_count() const { return running_.size(); }
+  /// Most activities ever running at once.
+  [[nodiscard]] std::size_t running_activity_peak() const { return running_peak_; }
+  /// The completion order (read-only, for invariant checks and the
+  /// heap-size gate).  Holds one entry per running activity with a finite
+  /// completion time.
+  [[nodiscard]] const CompletionHeap& completion_heap() const { return completions_; }
   [[nodiscard]] std::uint64_t scheduling_points() const { return scheduling_points_; }
 
   /// Incremental fair-share solves performed so far (recompute_rates calls
@@ -238,17 +245,6 @@ class Engine {
     }
   };
 
-  struct CompletionEntry {
-    double time;
-    std::uint64_t id;       ///< activity id: deterministic tie-break
-    std::uint64_t version;  ///< stale when != arena version[slot]
-    ActivitySlot slot;
-    bool operator>(const CompletionEntry& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
   struct RootActor {
     std::string name;
     Task<> task;
@@ -273,10 +269,10 @@ class Engine {
   void solve_subset(const std::vector<ActivitySlot>& acts);
   /// Materialize remaining work at the current virtual time.
   void sync_remaining(ActivitySlot slot);
-  /// Refresh the completion time and push a fresh heap entry.
+  /// Refresh the completion time and re-key the slot's heap entry.
   void update_completion(ActivitySlot slot);
-  /// Earliest valid completion time, dropping stale heap entries; kInf if none.
-  double heap_top_time();
+  /// Earliest completion time; kInf if none.
+  [[nodiscard]] double heap_top_time() const;
   void register_claims(ActivitySlot slot);
   void deregister_claims(ActivitySlot slot);
   /// Full-solve determinism cross-check; throws on divergence.
@@ -310,6 +306,7 @@ class Engine {
   double last_sp_time_ = -std::numeric_limits<double>::infinity();
   std::uint64_t visit_mark_ = 0;
   std::size_t live_roots_ = 0;
+  std::size_t running_peak_ = 0;
   bool cancellations_pending_ = false;
   std::uint64_t cancelled_activities_ = 0;
 
@@ -323,8 +320,7 @@ class Engine {
   /// Running activity slots, unordered (swap-remove via arena run_index).
   std::vector<ActivitySlot> running_;
   std::vector<Resource*> dirty_resources_;
-  std::priority_queue<CompletionEntry, std::vector<CompletionEntry>, std::greater<>>
-      completions_;
+  CompletionHeap completions_;
   std::deque<FrameRef> ready_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<RootActor> roots_;

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "tracelog/recorder.hpp"
 #include "util/log.hpp"
 
 namespace pcs::wf {
+
+void check_chunk_count(const std::string& task, const FileSpec& file, double chunk_size) {
+  const double chunks = file.size / chunk_size;
+  if (std::isfinite(file.size) && chunks <= static_cast<double>(kMaxChunksPerFile)) return;
+  std::ostringstream msg;
+  msg << "task '" << task << "': file '" << file.name << "' of " << file.size
+      << " B needs more than " << kMaxChunksPerFile << " chunks at chunk_size " << chunk_size
+      << " B";
+  throw WorkflowError(msg.str());
+}
 
 ComputeService::ComputeService(sim::Engine& engine, plat::Host& host,
                                storage::FileService& storage, double chunk_size)
@@ -28,6 +40,11 @@ void ComputeService::set_recorder(tracelog::TaskLogRecorder* recorder,
 
 void ComputeService::submit(Workflow& workflow, const std::string& instance) {
   workflow.validate();
+  for (const std::string& name : workflow.task_order()) {
+    const WorkflowTask& task = workflow.task(name);
+    for (const FileSpec& input : task.inputs) check_chunk_count(name, input, chunk_for(task));
+    for (const FileSpec& output : task.outputs) check_chunk_count(name, output, chunk_for(task));
+  }
   // Stage external inputs: they exist on disk, uncached, when the
   // simulation starts (the paper clears the page cache before each run).
   for (const FileSpec& input : workflow.external_inputs()) {
@@ -100,7 +117,7 @@ sim::Task<> ComputeService::executor(WorkflowRun* run) {
 sim::Task<> ComputeService::run_task(WorkflowRun* run, std::string task_name,
                                      sim::ConditionVariable* done_cv) {
   const WorkflowTask& task = run->workflow->task(task_name);
-  const double chunk = task.chunk_size > 0.0 ? task.chunk_size : chunk_size_;
+  const double chunk = chunk_for(task);
 
   // Re-attempts back off in virtual time before competing for a core:
   // backoff * factor^(N-2) ahead of attempt N.

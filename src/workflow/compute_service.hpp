@@ -17,6 +17,7 @@
 // the actors loses no accounting.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <map>
 #include <set>
@@ -70,6 +71,15 @@ struct FailedTask {
   std::vector<TaskAttempt> aborted;
 };
 
+/// Most chunks a task may split one file into.  Each chunk is one simulated
+/// I/O, so an unbounded count (a "1 B" chunk size, a 1e308-byte file) runs
+/// for hours without output; the largest committed workload needs 1250.
+inline constexpr std::size_t kMaxChunksPerFile = std::size_t{1} << 20;
+
+/// Throws WorkflowError naming the task, the file and the chunk size when
+/// `file.size` is not finite or needs more than kMaxChunksPerFile chunks.
+void check_chunk_count(const std::string& task, const FileSpec& file, double chunk_size);
+
 class ComputeService {
  public:
   /// Tasks of every workflow submitted to this service run on `host` using
@@ -77,7 +87,8 @@ class ComputeService {
   ComputeService(sim::Engine& engine, plat::Host& host, storage::FileService& storage,
                  double chunk_size);
 
-  /// Stage external inputs and spawn the executor actor.  May be called for
+  /// Check every task's chunk counts (check_chunk_count), stage external
+  /// inputs and spawn the executor actor.  May be called for
   /// several workflows (they run concurrently, e.g. the paper's concurrent
   /// application instances).  `instance` tags results.  While the host is
   /// crashed the run is queued and its executor starts at restart().
@@ -190,6 +201,9 @@ class ComputeService {
   void spawn_executor(WorkflowRun* run);
   [[nodiscard]] const RetryPolicy& policy_for(const WorkflowTask& task) const {
     return task.retry ? *task.retry : retry_;
+  }
+  [[nodiscard]] double chunk_for(const WorkflowTask& task) const {
+    return task.chunk_size > 0.0 ? task.chunk_size : chunk_size_;
   }
   [[nodiscard]] std::string qualified(const WorkflowRun& run, const std::string& task) const {
     return run.instance.empty() ? task : run.instance + ":" + task;

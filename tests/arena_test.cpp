@@ -1,10 +1,12 @@
 // The activity arena (simcore/activity_arena.hpp): slot recycling through
 // the freelist, generation counters distinguishing reincarnations, the
-// monotone per-slot version, external-handle refcounting, and the SoA
-// bookkeeping — exercised in randomized lockstep against a naive reference
-// model, the same pattern lru_property_test uses for the page-cache slab.
+// completion-heap index (`heap_pos`), external-handle refcounting, and the
+// SoA bookkeeping — exercised in randomized lockstep against a naive
+// reference model, the same pattern lru_property_test uses for the
+// page-cache slab.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -12,6 +14,8 @@
 #include <vector>
 
 #include "simcore/activity_arena.hpp"
+#include "simcore/engine.hpp"
+#include "util/rng.hpp"
 
 namespace pcs::sim {
 namespace {
@@ -26,6 +30,7 @@ TEST(ActivityArena, AllocInitializesEverySoaField) {
   EXPECT_EQ(arena.last_update[s], 3.0);
   EXPECT_EQ(arena.id[s], 7u);
   EXPECT_EQ(arena.done[s], 0);
+  EXPECT_EQ(arena.heap_pos[s], kNoHeapPos);
   EXPECT_EQ(arena.cold[s].label, "act");
   EXPECT_EQ(arena.cold[s].total, 42.0);
   EXPECT_EQ(arena.cold[s].end_time, -1.0);
@@ -106,9 +111,6 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
   std::uint64_t next_id = 0;
   std::size_t released = 0;
   std::size_t reused = 0;
-  // Per-slot version high-water mark: versions must never run backwards,
-  // even across recycling (the completion-heap staleness guarantee).
-  std::vector<std::uint64_t> version_seen;
 
   auto pick_live = [&]() -> std::uint64_t {
     std::uniform_int_distribution<std::size_t> d(0, live_ids.size() - 1);
@@ -142,9 +144,8 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
       // Freelist first: the slab only grows when every slot is live.
       EXPECT_EQ(arena.slots(), expect_reuse ? before : before + 1);
       if (expect_reuse) ++reused;
-      if (ref.slot >= version_seen.size()) version_seen.resize(ref.slot + 1, 0);
-      EXPECT_GE(arena.version[ref.slot], version_seen[ref.slot]) << "version ran backwards";
-      version_seen[ref.slot] = arena.version[ref.slot];
+      // Fresh or recycled, a slot starts outside the completion heap.
+      EXPECT_EQ(arena.heap_pos[ref.slot], kNoHeapPos);
       model.emplace(act, ref);
       live_ids.push_back(act);
     } else if (op < 55) {  // take an external handle
@@ -212,6 +213,65 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
     arena.release(s);
   }
   EXPECT_EQ(arena.slots(), settled);
+}
+
+// The completion-heap index under a live engine: every running slot with a
+// finite completion time sits at its own recorded heap position, every
+// other slot (waiting for its first solve, done, or recycled) has none, and
+// the heap holds nothing else.
+void expect_heap_index_consistent(const Engine& engine) {
+  const ActivityArena& a = engine.arena();
+  const std::vector<ActivitySlot>& heap = engine.completion_heap().slots();
+  std::size_t members = 0;
+  for (ActivitySlot s = 0; s < a.slots(); ++s) {
+    const std::uint32_t pos = a.heap_pos[s];
+    if (a.done[s] || !std::isfinite(a.completion_time[s])) {
+      EXPECT_EQ(pos, kNoHeapPos) << "slot " << s << " is done or has no completion time";
+      continue;
+    }
+    ASSERT_LT(pos, heap.size()) << "running slot " << s << " is missing from the heap";
+    EXPECT_EQ(heap[pos], s);
+    ++members;
+  }
+  EXPECT_EQ(members, heap.size());
+  EXPECT_LE(heap.size(), engine.running_activity_count());
+}
+
+TEST(ActivityArena, HeapPositionsTrackRunningSlotsThroughAnEngineRun) {
+  Engine engine;
+  std::vector<Resource*> disks;
+  for (int i = 0; i < 4; ++i) disks.push_back(engine.new_resource("d" + std::to_string(i), 1e3));
+  // Workers of mixed sizes on shared disks: every completion re-solves a
+  // component and moves its peers' completion times, many of them to equal
+  // values; claimless and zero-work activities take the other paths.
+  auto worker = [&disks](Engine& e, std::uint64_t seed) -> Task<> {
+    util::Rng rng(seed);
+    for (int round = 0; round < 30; ++round) {
+      const double amount = std::floor(rng.uniform(0.0, 4.0)) * 100.0;
+      const std::size_t disk = rng.uniform_int(0, disks.size() - 1);
+      if (rng.bernoulli(0.2)) {
+        std::vector<Claim> none;
+        co_await e.submit("cpu", std::move(none), amount, 500.0);
+      } else {
+        co_await e.submit("io", sim::one(disks[disk]), amount);
+      }
+    }
+  };
+  auto auditor = [](Engine& e, int& audits) -> Task<> {
+    while (true) {
+      expect_heap_index_consistent(e);
+      ++audits;
+      co_await e.sleep(0.05);
+    }
+  };
+  int audits = 0;
+  for (std::uint64_t w = 0; w < 40; ++w) engine.spawn("w" + std::to_string(w), worker(engine, w));
+  engine.spawn("auditor", auditor(engine, audits), /*daemon=*/true);
+  engine.run();
+  expect_heap_index_consistent(engine);
+  EXPECT_GT(audits, 20);
+  EXPECT_TRUE(engine.completion_heap().empty());
+  EXPECT_LE(engine.completion_heap().peak(), engine.running_activity_peak());
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ TEST(EngineDeterminism, CrossCheckCatchesCapacityEdits) {
 //
 // mega_tenant clones every actor per tenant with identical seeds, so each
 // batched scheduling point carries many independent dirty components.  The
-// engine pushes their completion entries in BFS order; the recorded
+// engine re-keys their completion entries in BFS order; the recorded
 // constants below pin that this order never shows in the simulated timeline.
 
 TEST(EngineDeterminism, MegaTenantMatchesRecordedFingerprint) {
@@ -216,6 +216,11 @@ TEST(EngineDeterminism, MegaTenantMatchesRecordedFingerprint) {
   EXPECT_EQ(a.completion_checksum, 0x1.ba626a4c4d0acp+11);  // 3539.0754758362509
   EXPECT_EQ(a.scheduling_points, 3000u);
   EXPECT_EQ(a.components_solved, 30000u);
+  // One completion entry per running activity: re-solves move entries in
+  // place, so the heap never outgrows the running set.
+  EXPECT_GT(a.completion_heap_peak, 0u);
+  EXPECT_LE(a.completion_heap_peak, a.running_peak);
+  EXPECT_EQ(a.running_peak, 10000u);
   // Run twice: bit-identical.
   const CoreScenarioResult b = run_core_scenario(config);
   EXPECT_EQ(a.checksum_ns, b.checksum_ns);

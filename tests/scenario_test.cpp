@@ -11,6 +11,7 @@
 #include "scenario/scenario.hpp"
 #include "storage/service_registry.hpp"
 #include "util/units.hpp"
+#include "workflow/workflow.hpp"
 
 namespace pcs::scenario {
 namespace {
@@ -158,6 +159,50 @@ TEST(ScenarioRunner, ZeroSpeedHostFailsInsteadOfHanging) {
     EXPECT_NE(std::string(e.what()).find("host 'node0'"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("speed_gflops"), std::string::npos) << e.what();
   }
+}
+
+// Expects run_scenario to reject `spec` (instead of hanging on an unbounded
+// chunk loop) with an error naming the task, the file and chunk_size.
+void expect_chunk_count_rejected(const ScenarioSpec& spec, const std::string& file) {
+  try {
+    run_scenario(spec);
+    FAIL() << "an unbounded chunk count must be rejected";
+  } catch (const wf::WorkflowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("task 'process'"), std::string::npos) << what;
+    EXPECT_NE(what.find("file '" + file + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("chunk_size"), std::string::npos) << what;
+  }
+}
+
+TEST(ScenarioRunner, OneByteChunkSizeFailsInsteadOfHanging) {
+  // The quickstart with "chunk_size": "1 B" used to run for hours: its 4 GB
+  // input became 4e9 chunk activities.
+  ScenarioSpec spec = ScenarioSpec::from_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
+  spec.chunk_size = 1.0;
+  expect_chunk_count_rejected(spec, "raw.dat");
+}
+
+TEST(ScenarioRunner, HugeInputSizeFailsInsteadOfHanging) {
+  // An input "size": 1e308 at the default 100 MB chunk never ended its
+  // chunk loop either.
+  util::Json doc = util::Json::parse_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
+  util::Json workflow = doc.at("workload").at("workflow");
+  util::Json tasks{util::JsonArray{}};
+  for (const util::Json& task : workflow.at("tasks").as_array()) {
+    util::Json copy = task;
+    if (task.at("name").as_string() == "process") {
+      util::Json inputs{util::JsonArray{}};
+      inputs.push_back(util::Json{util::JsonObject{}}.set("name", "raw.dat").set("size", 1e308));
+      copy.set("inputs", std::move(inputs));
+    }
+    tasks.push_back(std::move(copy));
+  }
+  workflow.set("tasks", std::move(tasks));
+  util::Json workload = doc.at("workload");
+  workload.set("workflow", std::move(workflow));
+  doc.set("workload", std::move(workload));
+  expect_chunk_count_rejected(ScenarioSpec::parse(doc), "raw.dat");
 }
 
 TEST(ScenarioRunner, UnknownBackendAndServiceFail) {
