@@ -6,6 +6,20 @@
 
 namespace pcs::plat {
 
+namespace {
+// Memory bandwidths are optional, but a given one must be positive: a page
+// cache on a zero-bandwidth bus never finishes a cached transfer, and the
+// run would spin instead of failing.  The negated form also rejects NaN.
+double memory_bandwidth(const util::Json& mem, const std::string& host, const char* field) {
+  if (!mem.contains(field)) return 0.0;
+  const double mbps = mem.at(field).as_number();
+  if (!(mbps > 0.0)) {
+    throw PlatformError("host '" + host + "': memory." + field + " must be positive");
+  }
+  return mbps * util::MB;
+}
+}  // namespace
+
 Disk::Disk(sim::Engine& engine, Host& host, const DiskSpec& spec)
     : spec_(spec),
       host_(host),
@@ -120,8 +134,8 @@ void Platform::load_json(const util::Json& doc) {
     spec.ram = util::bytes_field_or(h, "ram", 0.0);
     if (h.contains("memory")) {
       const util::Json& mem = h.at("memory");
-      spec.mem_read_bw = mem.number_or("read_bw_MBps", 0.0) * util::MB;
-      spec.mem_write_bw = mem.number_or("write_bw_MBps", 0.0) * util::MB;
+      spec.mem_read_bw = memory_bandwidth(mem, spec.name, "read_bw_MBps");
+      spec.mem_write_bw = memory_bandwidth(mem, spec.name, "write_bw_MBps");
     }
     Host* host = add_host(spec);
     if (h.contains("disks")) {

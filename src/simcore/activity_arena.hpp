@@ -131,8 +131,10 @@ class ActivityArena {
     assert(heap_pos[s] == kNoHeapPos && "releasing a slot still in the completion heap");
     Cold& c = cold[s];
     ++c.generation;
+    // Drop the contents now; the buffers are not reused, since alloc
+    // move-assigns the next activity's label and claims over them.
     c.label.clear();
-    c.claims.clear();  // keeps capacity for the next incumbent of this slot
+    c.claims.clear();
     c.waiter = FrameRef{};
     c.next_free = free_head_;
     free_head_ = s;

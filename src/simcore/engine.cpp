@@ -132,7 +132,14 @@ Task<> Engine::root_guard(Task<> inner) {
     std::size_t* live;
     ~Guard() { --*live; }
   } guard{&live_roots_};
-  co_await inner;
+  try {
+    co_await inner;
+  } catch (...) {
+    // The first failed root ends the run: actors waiting on it would
+    // otherwise block forever while daemon timers keep the clock moving.
+    if (!root_failure_) root_failure_ = std::current_exception();
+    throw;
+  }
 }
 
 void Engine::spawn(std::string name, Task<> task, bool daemon, std::string group) {
@@ -211,7 +218,7 @@ std::size_t Engine::drain_ready() {
   // coroutine is mid-execution — destroying a frame that is on the native
   // call stack would be undefined behaviour.
   process_pending_cancellations();
-  while (!ready_.empty()) {
+  while (!ready_.empty() && !root_failure_) {
     const FrameRef ref = ready_.front();
     ready_.pop_front();
     if (!ref.alive()) continue;  // frame destroyed by cancellation
@@ -498,6 +505,7 @@ void Engine::step(double time_limit) {
   bool check_actors = true;
   while (true) {
     if (drain_ready() > 0) check_actors = true;
+    if (root_failure_) return;
     if (check_actors) {
       if (all_actors_done()) return;
       check_actors = false;  // can only change after a coroutine resumes
@@ -560,6 +568,7 @@ void Engine::run() {
   step(kInf);
   running_loop_ = false;
 
+  if (root_failure_) std::rethrow_exception(root_failure_);
   for (const RootActor& root : roots_) root.task.rethrow_if_failed();
   if (!all_actors_done()) {
     std::string stuck;
@@ -579,6 +588,7 @@ void Engine::run_until(double t) {
   step(t);
   if (now_ < t && ready_.empty() && timers_.empty() && running_.empty()) now_ = t;
   running_loop_ = false;
+  if (root_failure_) std::rethrow_exception(root_failure_);
   for (const RootActor& root : roots_) root.task.rethrow_if_failed();
 }
 

@@ -50,6 +50,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -157,7 +158,9 @@ class Engine {
 
   /// Run until all non-daemon actors finish.  Throws SimulationError on
   /// deadlock (event sources exhausted with unfinished non-daemon actors)
-  /// and rethrows the first uncaught actor exception.
+  /// and rethrows the first uncaught actor exception.  A non-daemon root
+  /// that throws stops the run at once, at the virtual time it failed, and
+  /// its exception is rethrown unchanged.
   void run();
 
   /// Run at most until virtual time `t` (useful for incremental probing).
@@ -308,6 +311,8 @@ class Engine {
   std::size_t live_roots_ = 0;
   std::size_t running_peak_ = 0;
   bool cancellations_pending_ = false;
+  /// The first exception to escape a non-daemon root; ends the run.
+  std::exception_ptr root_failure_;
   std::uint64_t cancelled_activities_ = 0;
 
   Tracer* tracer_ = nullptr;

@@ -7,6 +7,12 @@ LocalStorage::LocalStorage(sim::Engine& engine, plat::Host& host, plat::Disk& di
                            double mem_for_cache, double fs_capacity)
     : engine_(engine), disk_(disk), fs_(fs_capacity) {
   if (mode != cache::CacheMode::None) {
+    // Every cached transfer runs over the memory channels; at zero
+    // bandwidth it would never complete.
+    if (!(host.spec().mem_read_bw > 0.0) || !(host.spec().mem_write_bw > 0.0)) {
+      throw StorageError("page-cached storage on host '" + host.name() +
+                         "' needs positive memory read_bw_MBps and write_bw_MBps");
+    }
     double mem = mem_for_cache > 0.0 ? mem_for_cache : host.ram();
     mm_ = std::make_unique<cache::MemoryManager>(engine, params, mem, host.mem_read_channel(),
                                                  host.mem_write_channel(), *this);

@@ -91,32 +91,38 @@ std::vector<FileSpec> Workflow::external_inputs() const {
 }
 
 void Workflow::validate() const {
-  // Kahn's algorithm; leftovers indicate a cycle.
-  std::map<std::string, std::size_t> pending;
-  for (const std::string& name : order_) pending[name] = parents_of(name).size();
-  std::set<std::string> completed;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (const std::string& name : order_) {
-      if (completed.count(name) != 0) continue;
-      if (pending[name] == 0) {
-        completed.insert(name);
-        progress = true;
-        for (const std::string& other : order_) {
-          if (completed.count(other) == 0 && parents_of(other).count(name) != 0) {
-            --pending[other];
-          }
-        }
-      }
+  // Kahn's algorithm over task indices: parent sets are built once, child
+  // lists derived from them, and a worklist releases each task when its
+  // last parent is done.  Leftovers indicate a cycle.
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < order_.size(); ++i) index.emplace(order_[i], i);
+  std::vector<std::size_t> pending(order_.size(), 0);
+  std::vector<std::vector<std::size_t>> children(order_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    for (const std::string& parent : parents_of(order_[i])) {
+      children[index.at(parent)].push_back(i);
+      ++pending[i];
     }
   }
-  if (completed.size() != tasks_.size()) {
+  std::vector<std::size_t> worklist;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (pending[i] == 0) worklist.push_back(i);
+  }
+  std::size_t completed = 0;
+  while (!worklist.empty()) {
+    const std::size_t done = worklist.back();
+    worklist.pop_back();
+    ++completed;
+    for (std::size_t child : children[done]) {
+      if (--pending[child] == 0) worklist.push_back(child);
+    }
+  }
+  if (completed != tasks_.size()) {
     std::string stuck;
-    for (const std::string& name : order_) {
-      if (completed.count(name) == 0) {
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      if (pending[i] != 0) {
         if (!stuck.empty()) stuck += ", ";
-        stuck += name;
+        stuck += order_[i];
       }
     }
     throw WorkflowError("workflow has a dependency cycle involving: " + stuck);

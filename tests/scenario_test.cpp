@@ -9,6 +9,7 @@
 #include "platform/platform.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "storage/file_system.hpp"
 #include "storage/service_registry.hpp"
 #include "util/units.hpp"
 #include "workflow/workflow.hpp"
@@ -158,6 +159,57 @@ TEST(ScenarioRunner, ZeroSpeedHostFailsInsteadOfHanging) {
   } catch (const plat::PlatformError& e) {
     EXPECT_NE(std::string(e.what()).find("host 'node0'"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("speed_gflops"), std::string::npos) << e.what();
+  }
+}
+
+// The quickstart with one memory bandwidth of its host replaced (or the
+// memory block dropped when `value` is null).
+ScenarioSpec quickstart_with_memory(const char* field, const util::Json& value) {
+  ScenarioSpec spec = ScenarioSpec::from_file(PCS_SOURCE_DIR "/scenarios/quickstart.json");
+  util::Json host = spec.platform.at("hosts").at(0);
+  if (value.is_null()) {
+    host.as_object().erase("memory");
+  } else {
+    util::Json memory = host.at("memory");
+    memory.set(field, value);
+    host.set("memory", std::move(memory));
+  }
+  spec.platform.set("hosts", util::Json{util::JsonArray{}}.push_back(std::move(host)));
+  return spec;
+}
+
+// Expects the mutated quickstart to be rejected with an error naming the
+// host and the memory field, instead of a cached transfer at rate 0 that
+// never completes while the flusher ticks the clock forward.
+void expect_memory_bandwidth_rejected(const char* field, double value) {
+  try {
+    run_scenario(quickstart_with_memory(field, util::Json{value}));
+    FAIL() << "memory." << field << " = " << value << " must be rejected";
+  } catch (const plat::PlatformError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("host 'node0'"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("memory.") + field), std::string::npos) << what;
+  }
+}
+
+TEST(ScenarioRunner, ZeroMemoryReadBandwidthFailsInsteadOfHanging) {
+  expect_memory_bandwidth_rejected("read_bw_MBps", 0.0);
+}
+
+TEST(ScenarioRunner, NegativeMemoryWriteBandwidthFailsInsteadOfHanging) {
+  expect_memory_bandwidth_rejected("write_bw_MBps", -1.0);
+}
+
+TEST(ScenarioRunner, PageCacheWithoutMemoryBandwidthFails) {
+  // Memory bandwidths are optional in a platform (a cacheless host never
+  // uses them), so a cached service on such a host fails when it is built.
+  try {
+    run_scenario(quickstart_with_memory("read_bw_MBps", util::Json{}));
+    FAIL() << "a page cache on a host without memory bandwidth must be rejected";
+  } catch (const storage::StorageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("host 'node0'"), std::string::npos) << what;
+    EXPECT_NE(what.find("read_bw_MBps"), std::string::npos) << what;
   }
 }
 

@@ -102,6 +102,44 @@ TEST(EngineEdge, DaemonExceptionSurfaces) {
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
+// A periodic daemon (the page cache's flusher) always has a timer pending,
+// so a run whose only non-daemon actor failed must stop on the failure
+// instead of ticking virtual time forward for ever.
+Task<> ticking_daemon(Engine& e) {
+  for (;;) co_await e.sleep(5.0);
+}
+
+TEST(EngineEdge, FailedRootStopsTheRunAtItsFailureTime) {
+  Engine engine;
+  auto failing = [](Engine& e) -> Task<> {
+    co_await e.sleep(1.0);
+    throw std::runtime_error("root died");
+  };
+  auto waiter = [](Engine& e) -> Task<> { co_await e.sleep(1e9); };
+  engine.spawn("flusher", ticking_daemon(engine), /*daemon=*/true);
+  engine.spawn("failing", failing(engine));
+  engine.spawn("waiter", waiter(engine));
+  try {
+    engine.run();
+    FAIL() << "the root's exception must end the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "root died");  // rethrown unchanged
+  }
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+}
+
+TEST(EngineEdge, FailedRootStopsRunUntil) {
+  Engine engine;
+  auto failing = [](Engine& e) -> Task<> {
+    co_await e.sleep(2.0);
+    throw std::logic_error("bad state");
+  };
+  engine.spawn("flusher", ticking_daemon(engine), /*daemon=*/true);
+  engine.spawn("failing", failing(engine));
+  EXPECT_THROW(engine.run_until(100.0), std::logic_error);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+}
+
 TEST(EngineEdge, LockGuardReleasesOnScopeExit) {
   Engine engine;
   Mutex mutex(engine);
