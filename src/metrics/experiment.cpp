@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <utility>
 
 #include "metrics/result_json.hpp"
 #include "scenario/runner.hpp"
@@ -350,13 +351,17 @@ util::Json evaluate_check(const util::Json& check, const std::vector<CaseData>& 
         const std::string& group = check.at("group").as_string();
         what += " group '" + group + "'";
         if (!got.contains(group)) throw MetricsError(what + " not present");
-        got = got.at(group);
+        // Copy the child out before assigning: assigning a Json from its
+        // own child would free the source mid-copy.
+        util::Json child = got.at(group);
+        got = std::move(child);
       }
       if (check.contains("field")) {
         const std::string& field = check.at("field").as_string();
         what += " ." + field;
         if (!got.is_object() || !got.contains(field)) throw MetricsError(what + " not present");
-        got = got.at(field);
+        util::Json child = got.at(field);
+        got = std::move(child);
       }
     } else {
       throw MetricsError("check needs \"case\", \"aggregate\" or \"equal_cases\"");

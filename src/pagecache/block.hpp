@@ -9,16 +9,17 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "pagecache/file_name.hpp"
 
 namespace pcs::cache {
 
 struct DataBlock {
   std::uint64_t id = 0;       ///< Unique identity, stable across list moves.
-  std::string file;           ///< Owning file name.
   double size = 0.0;          ///< Bytes.
   double entry_time = 0.0;    ///< Creation time; drives dirty expiration.
   double last_access = 0.0;   ///< Drives LRU ordering.
+  FileName file;              ///< Owning file (interned name).
   bool dirty = false;         ///< True until flushed to the backing store.
 
   /// A dirty block is expired once it has been dirty in cache longer than

@@ -24,7 +24,7 @@ IOController::IOController(sim::Engine& engine, CacheMode mode, MemoryManager* m
   }
 }
 
-sim::Task<> IOController::read_file(std::string file, double file_size, double chunk_size) {
+sim::Task<> IOController::read_file(FileName file, double file_size, double chunk_size) {
   if (file_size <= 0.0) co_return;
   if (chunk_size <= 0.0) chunk_size = file_size;
   if (mode_ == CacheMode::None) {
@@ -32,7 +32,7 @@ sim::Task<> IOController::read_file(std::string file, double file_size, double c
     double remaining = file_size;
     while (remaining > kEps) {
       double cs = std::min(chunk_size, remaining);
-      co_await store_.read(file, cs);
+      co_await store_.read(file.str(), cs);
       remaining -= cs;
     }
     co_return;
@@ -45,7 +45,7 @@ sim::Task<> IOController::read_file(std::string file, double file_size, double c
   }
 }
 
-sim::Task<> IOController::read_chunk(const std::string& file, double file_size, double cs) {
+sim::Task<> IOController::read_chunk(FileName file, double file_size, double cs) {
   // Algorithm 2.  Round-robin access order means uncached data is consumed
   // before cached data, so the uncached remainder of the file is what disk
   // reads draw from.
@@ -59,7 +59,7 @@ sim::Task<> IOController::read_chunk(const std::string& file, double file_size, 
   mm_->evict(required_mem - mm_->free_mem(), file);
 
   if (disk_read > kEps) {
-    co_await store_.read(file, disk_read);
+    co_await store_.read(file.str(), disk_read);
     mm_->add_to_cache(file, disk_read);
   }
   if (cache_read > kEps) {
@@ -68,7 +68,7 @@ sim::Task<> IOController::read_chunk(const std::string& file, double file_size, 
     if (shortfall > kEps) {
       // A concurrent application evicted part of this file between planning
       // and reading; fault the remainder in from disk.
-      co_await store_.read(file, shortfall);
+      co_await store_.read(file.str(), shortfall);
       mm_->add_to_cache(file, shortfall);
     }
   }
@@ -82,7 +82,7 @@ sim::Task<> IOController::read_chunk(const std::string& file, double file_size, 
   mm_->allocate_anonymous(cs);
 }
 
-sim::Task<> IOController::write_file(std::string file, double size, double chunk_size) {
+sim::Task<> IOController::write_file(FileName file, double size, double chunk_size) {
   if (size <= 0.0) co_return;
   if (chunk_size <= 0.0) chunk_size = size;
   double remaining = size;
@@ -90,7 +90,7 @@ sim::Task<> IOController::write_file(std::string file, double size, double chunk
     double cs = std::min(chunk_size, remaining);
     switch (mode_) {
       case CacheMode::None:
-      case CacheMode::ReadCache: co_await store_.write(file, cs); break;
+      case CacheMode::ReadCache: co_await store_.write(file.str(), cs); break;
       case CacheMode::Writeback: co_await write_chunk_writeback(file, cs); break;
       case CacheMode::Writethrough: co_await write_chunk_writethrough(file, cs); break;
     }
@@ -98,7 +98,7 @@ sim::Task<> IOController::write_file(std::string file, double size, double chunk
   }
 }
 
-sim::Task<> IOController::write_chunk_writeback(const std::string& file, double cs) {
+sim::Task<> IOController::write_chunk_writeback(FileName file, double cs) {
   // Algorithm 3.
   double mem_amt = 0.0;
   double remain_dirty = mm_->dirty_limit() - mm_->dirty();
@@ -122,22 +122,22 @@ sim::Task<> IOController::write_chunk_writeback(const std::string& file, double 
     // No progress: either concurrent writers hold all reclaimable memory
     // for an instant, or memory is genuinely exhausted by anonymous pages.
     if (mm_->dirty() <= kEps && mm_->evictable() <= kEps && mm_->free_mem() <= kEps) {
-      throw CacheError("write to '" + file + "': out of memory (" +
+      throw CacheError("write to '" + file.str() + "': out of memory (" +
                        std::to_string(mm_->anonymous()) + " bytes anonymous, nothing to flush" +
                        " or evict)");
     }
     if (++stalled > kMaxStalledIterations) {
-      throw CacheError("write to '" + file + "': writer stalled (livelock)");
+      throw CacheError("write to '" + file.str() + "': writer stalled (livelock)");
     }
     co_await engine_.sleep(kWriterBackoff);
   }
 }
 
-sim::Task<> IOController::write_chunk_writethrough(const std::string& file, double cs) {
+sim::Task<> IOController::write_chunk_writethrough(FileName file, double cs) {
   // Writethrough: the disk write is synchronous; the written data then
   // populates the cache (clean — it is already persistent) so later reads
   // can hit (paper Section III.B, last paragraph).
-  co_await store_.write(file, cs);
+  co_await store_.write(file.str(), cs);
   mm_->evict(cs - mm_->free_mem());
   mm_->add_to_cache(file, cs, /*dirty=*/false);
 }

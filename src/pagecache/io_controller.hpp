@@ -34,16 +34,17 @@ class IOController {
   /// Read a whole file of `file_size` bytes in chunks of `chunk_size`
   /// (the paper's round-robin chunk accesses).  Charges `file_size` of
   /// anonymous memory in cached modes (the application's copy of the data).
-  [[nodiscard]] sim::Task<> read_file(std::string file, double file_size, double chunk_size);
+  /// The name is interned once here and the id passed down the chunk loop.
+  [[nodiscard]] sim::Task<> read_file(FileName file, double file_size, double chunk_size);
 
   /// Write `size` new bytes to `file` in chunks of `chunk_size`.  The
   /// written data is assumed uncached (paper Section III.A.2).
-  [[nodiscard]] sim::Task<> write_file(std::string file, double size, double chunk_size);
+  [[nodiscard]] sim::Task<> write_file(FileName file, double size, double chunk_size);
 
  private:
-  [[nodiscard]] sim::Task<> read_chunk(const std::string& file, double file_size, double cs);
-  [[nodiscard]] sim::Task<> write_chunk_writeback(const std::string& file, double cs);
-  [[nodiscard]] sim::Task<> write_chunk_writethrough(const std::string& file, double cs);
+  [[nodiscard]] sim::Task<> read_chunk(FileName file, double file_size, double cs);
+  [[nodiscard]] sim::Task<> write_chunk_writeback(FileName file, double cs);
+  [[nodiscard]] sim::Task<> write_chunk_writethrough(FileName file, double cs);
 
   sim::Engine& engine_;
   CacheMode mode_;

@@ -17,17 +17,15 @@ constexpr double kEps = 1e-3;
 constexpr double kKeyGap = 1.0;
 }  // namespace
 
-std::uint32_t LruList::alloc_node(DataBlock block) {
+std::uint32_t LruList::alloc_node(const DataBlock& block) {
   std::uint32_t idx;
   if (free_head_ != kNil) {
     idx = free_head_;
     free_head_ = slab_[idx].next;
-    // Reuse keeps the slot's string capacity: steady-state churn allocates
-    // nothing per block.
-    static_cast<DataBlock&>(slab_[idx]) = std::move(block);
+    static_cast<DataBlock&>(slab_[idx]) = block;
   } else {
     idx = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back(Node(std::move(block)));
+    slab_.emplace_back(block);
   }
   Node& n = slab_[idx];
   n.order_key = 0.0;
@@ -148,9 +146,26 @@ void LruList::chain_remove(std::uint32_t& chain_head, std::uint32_t& chain_tail,
   n.*Prev = n.*Next = kNil;
 }
 
+LruList::FileAccount& LruList::account(FileName file) {
+  if (file.id() >= files_.size()) files_.resize(file.id() + 1);
+  FileAccount& acct = files_[file.id()];
+  acct.file = file;
+  return acct;
+}
+
+const LruList::FileAccount* LruList::find_account(FileName file) const {
+  return file.id() < files_.size() ? &files_[file.id()] : nullptr;
+}
+
+void LruList::release_if_drained(FileAccount& acct) {
+  // Reset, never keep the sub-kEps residue: a refill must start from 0.0
+  // exactly as a freshly created account does.
+  if (acct.bytes <= kEps && acct.dirty_count == 0) acct = FileAccount{};
+}
+
 void LruList::account_add(const DataBlock& b) {
   total_ += b.size;
-  FileAccount& acct = files_[b.file];
+  FileAccount& acct = account(b.file);
   acct.bytes += b.size;
   if (b.dirty) {
     dirty_ += b.size;
@@ -161,12 +176,12 @@ void LruList::account_add(const DataBlock& b) {
 void LruList::account_remove(const DataBlock& b) {
   total_ -= b.size;
   if (b.dirty) dirty_ -= b.size;
-  auto it = files_.find(b.file);
-  if (it != files_.end()) {
-    it->second.bytes -= b.size;
-    if (b.dirty) it->second.dirty_bytes -= b.size;
-    if (it->second.dirty_bytes < kEps) it->second.dirty_bytes = 0.0;
-    if (it->second.bytes <= kEps && it->second.dirty_count == 0) files_.erase(it);
+  if (b.file.id() < files_.size()) {
+    FileAccount& acct = files_[b.file.id()];
+    acct.bytes -= b.size;
+    if (b.dirty) acct.dirty_bytes -= b.size;
+    if (acct.dirty_bytes < kEps) acct.dirty_bytes = 0.0;
+    release_if_drained(acct);
   }
   if (total_ < kEps) total_ = 0.0;
   if (dirty_ < kEps) dirty_ = 0.0;
@@ -174,10 +189,10 @@ void LruList::account_remove(const DataBlock& b) {
 
 void LruList::index_add(std::uint32_t idx) {
   Node& n = slab_[idx];
-  by_id_[n.id] = idx;
+  by_id_.put(n.id, idx);
   if (n.dirty) {
     chain_insert_ordered<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    FileAccount& acct = files_[n.file];
+    FileAccount& acct = account(n.file);
     chain_insert_ordered<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail,
                                                              idx);
     ++acct.dirty_count;
@@ -188,16 +203,14 @@ void LruList::index_add(std::uint32_t idx) {
 
 void LruList::index_remove(std::uint32_t idx) {
   Node& n = slab_[idx];
-  auto id_it = by_id_.find(n.id);
-  if (id_it != by_id_.end() && id_it->second == idx) by_id_.erase(id_it);
+  by_id_.erase(n.id, idx);
   if (n.dirty) {
     chain_remove<&Node::cat_prev, &Node::cat_next>(dirty_head_, dirty_tail_, idx);
-    auto file_it = files_.find(n.file);
-    if (file_it != files_.end()) {
-      FileAccount& acct = file_it->second;
+    if (n.file.id() < files_.size()) {
+      FileAccount& acct = files_[n.file.id()];
       chain_remove<&Node::file_prev, &Node::file_next>(acct.dirty_head, acct.dirty_tail, idx);
       --acct.dirty_count;
-      if (acct.bytes <= kEps && acct.dirty_count == 0) files_.erase(file_it);
+      release_if_drained(acct);
     }
   } else {
     chain_remove<&Node::cat_prev, &Node::cat_next>(clean_head_, clean_tail_, idx);
@@ -242,8 +255,8 @@ void LruList::renumber_keys() {
   }
 }
 
-std::uint32_t LruList::emplace_node(std::uint32_t pos, DataBlock block) {
-  const std::uint32_t idx = alloc_node(std::move(block));
+std::uint32_t LruList::emplace_node(std::uint32_t pos, const DataBlock& block) {
+  const std::uint32_t idx = alloc_node(block);
   main_link_before(idx, pos);
   assign_order_key(idx);
   index_add(idx);
@@ -253,7 +266,7 @@ std::uint32_t LruList::emplace_node(std::uint32_t pos, DataBlock block) {
 LruList::iterator LruList::insert(DataBlock block) {
   account_add(block);
   const std::uint32_t pos = find_insert_pos(block.last_access);
-  return {this, emplace_node(pos, std::move(block))};
+  return {this, emplace_node(pos, block)};
 }
 
 DataBlock LruList::extract(iterator it) {
@@ -261,7 +274,7 @@ DataBlock LruList::extract(iterator it) {
   account_remove(slab_[idx]);
   index_remove(idx);
   main_unlink(idx);
-  DataBlock block = std::move(static_cast<DataBlock&>(slab_[idx]));
+  DataBlock block = slab_[idx];
   release_node(idx);
   return block;
 }
@@ -287,7 +300,7 @@ void LruList::touch(iterator it, double now) {
   }
   DataBlock block = extract(it);
   block.last_access = now;
-  insert(std::move(block));
+  insert(block);
 }
 
 std::pair<LruList::iterator, LruList::iterator> LruList::split(iterator it, double first_size,
@@ -302,7 +315,7 @@ std::pair<LruList::iterator, LruList::iterator> LruList::split(iterator it, doub
   // In-place shrink of the first part keeps accounting exact.
   resize(it, first_size);
   account_add(second);
-  const std::uint32_t second_idx = emplace_node(slab_[idx].next, std::move(second));
+  const std::uint32_t second_idx = emplace_node(slab_[idx].next, second);
   return {iterator{this, idx}, iterator{this, second_idx}};
 }
 
@@ -310,7 +323,7 @@ void LruList::set_dirty(iterator it, bool dirty) {
   if (it->dirty == dirty) return;
   const std::uint32_t idx = it.idx_;
   Node& n = slab_[idx];
-  FileAccount& acct = files_[n.file];
+  FileAccount& acct = account(n.file);
   if (n.dirty) {
     dirty_ -= n.size;
     acct.dirty_bytes -= n.size;
@@ -337,7 +350,7 @@ void LruList::resize(iterator it, double new_size) {
   Node& n = *it;
   double delta = new_size - n.size;
   total_ += delta;
-  FileAccount& acct = files_[n.file];
+  FileAccount& acct = account(n.file);
   acct.bytes += delta;
   if (n.dirty) {
     dirty_ += delta;
@@ -349,58 +362,65 @@ void LruList::resize(iterator it, double new_size) {
   if (dirty_ < kEps) dirty_ = 0.0;
 }
 
-double LruList::file_bytes(const std::string& file) const {
-  auto it = files_.find(file);
-  return it == files_.end() ? 0.0 : it->second.bytes;
+double LruList::file_bytes(FileName file) const {
+  const FileAccount* acct = find_account(file);
+  return acct == nullptr ? 0.0 : acct->bytes;
 }
 
 std::map<std::string, double> LruList::per_file() const {
   std::map<std::string, double> out;
-  for (const auto& [file, acct] : files_) {
-    if (acct.bytes > 0.0) out[file] = acct.bytes;
+  for (const FileAccount& acct : files_) {
+    if (acct.bytes > 0.0) out[acct.file.str()] = acct.bytes;
   }
   return out;
 }
 
-double LruList::clean_excluding(const std::string& exclude_file) const {
+double LruList::clean_excluding(FileName exclude_file) const {
   double clean = clean_total();
   if (exclude_file.empty()) return clean;
-  auto it = files_.find(exclude_file);
-  if (it == files_.end()) return clean;
-  return clean - (it->second.bytes - it->second.dirty_bytes);
+  const FileAccount* acct = find_account(exclude_file);
+  if (acct == nullptr) return clean;
+  return clean - (acct->bytes - acct->dirty_bytes);
 }
 
-LruList::iterator LruList::lru_dirty(const std::string& exclude_file) {
+LruList::iterator LruList::lru_dirty(FileName exclude_file) {
   for (std::uint32_t i = dirty_head_; i != kNil; i = slab_[i].cat_next) {
     if (exclude_file.empty() || slab_[i].file != exclude_file) return {this, i};
   }
   return end();
 }
 
-LruList::iterator LruList::lru_clean(const std::string& exclude_file) {
+LruList::iterator LruList::lru_clean(FileName exclude_file) {
   for (std::uint32_t i = clean_head_; i != kNil; i = slab_[i].cat_next) {
     if (exclude_file.empty() || slab_[i].file != exclude_file) return {this, i};
   }
   return end();
 }
 
-LruList::iterator LruList::lru_dirty_of(const std::string& file) {
-  auto it = files_.find(file);
-  if (it == files_.end() || it->second.dirty_head == kNil) return end();
-  return {this, it->second.dirty_head};
+LruList::iterator LruList::lru_dirty_of(FileName file) {
+  const FileAccount* acct = find_account(file);
+  if (acct == nullptr || acct->dirty_head == kNil) return end();
+  return {this, acct->dirty_head};
+}
+
+void LruList::append_expired(double now, double expire_after,
+                             std::vector<std::uint64_t>& out) const {
+  for (std::uint32_t i = dirty_head_; i != kNil; i = slab_[i].cat_next) {
+    if (slab_[i].expired(now, expire_after)) out.push_back(slab_[i].id);
+  }
 }
 
 LruList::iterator LruList::find(std::uint64_t id) {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? end() : iterator{this, it->second};
+  const std::uint32_t idx = by_id_.find(id);
+  return idx == IdIndex::kNone ? end() : iterator{this, idx};
 }
 
 void LruList::check_invariants() const {
   double total = 0.0;
   double dirty = 0.0;
-  std::map<std::string, double> per_file_bytes;
-  std::map<std::string, double> per_file_dirty;
-  std::map<std::string, std::size_t> per_file_dirty_count;
+  std::map<std::uint32_t, double> per_file_bytes;  ///< keyed by FileName id
+  std::map<std::uint32_t, double> per_file_dirty;
+  std::map<std::uint32_t, std::size_t> per_file_dirty_count;
   std::size_t dirty_count = 0;
   std::size_t walked = 0;
   std::unordered_set<std::uint32_t> live;
@@ -425,16 +445,13 @@ void LruList::check_invariants() const {
     total += b.size;
     if (b.dirty) {
       dirty += b.size;
-      per_file_dirty[b.file] += b.size;
-      per_file_dirty_count[b.file] += 1;
+      per_file_dirty[b.file.id()] += b.size;
+      per_file_dirty_count[b.file.id()] += 1;
       ++dirty_count;
     }
-    per_file_bytes[b.file] += b.size;
+    per_file_bytes[b.file.id()] += b.size;
 
-    auto id_it = by_id_.find(b.id);
-    if (id_it == by_id_.end() || id_it->second != i) {
-      throw std::logic_error("LruList: id index drift");
-    }
+    if (by_id_.find(b.id) != i) throw std::logic_error("LruList: id index drift");
   }
   if (walked != count_ || tail_ != expect_prev) {
     throw std::logic_error("LruList: main-chain length/tail drift");
@@ -443,7 +460,7 @@ void LruList::check_invariants() const {
 
   // Category chains: every member live, correct flag, ascending keys, and
   // cardinality matching the main-chain census (=> exact membership).
-  auto walk_chain = [&](std::uint32_t chain_head, bool want_dirty, const std::string* want_file,
+  auto walk_chain = [&](std::uint32_t chain_head, bool want_dirty, const FileName* want_file,
                         bool file_links) {
     std::size_t n = 0;
     double key = -std::numeric_limits<double>::infinity();
@@ -469,13 +486,17 @@ void LruList::check_invariants() const {
   if (walk_chain(clean_head_, false, nullptr, false) != count_ - dirty_count) {
     throw std::logic_error("LruList: clean chain cardinality drift");
   }
-  for (const auto& [file, acct] : files_) {
+  for (std::uint32_t id = 0; id < files_.size(); ++id) {
+    const FileAccount& acct = files_[id];
     std::size_t expect = 0;
-    auto cnt_it = per_file_dirty_count.find(file);
+    auto cnt_it = per_file_dirty_count.find(id);
     if (cnt_it != per_file_dirty_count.end()) expect = cnt_it->second;
+    if (expect > 0 && acct.file.id() != id) {
+      throw std::logic_error("LruList: per-file account owner drift");
+    }
     if (acct.dirty_count != expect ||
-        walk_chain(acct.dirty_head, true, &file, true) != expect) {
-      throw std::logic_error("LruList: per-file dirty chain drift for " + file);
+        walk_chain(acct.dirty_head, true, &acct.file, true) != expect) {
+      throw std::logic_error("LruList: per-file dirty chain drift for " + acct.file.str());
     }
   }
 
@@ -496,17 +517,20 @@ void LruList::check_invariants() const {
     throw std::logic_error(oss.str());
   }
   if (!close(dirty, dirty_)) throw std::logic_error("LruList: dirty account drift");
-  for (const auto& [file, bytes] : per_file_bytes) {
-    if (!close(bytes, file_bytes(file))) {
-      throw std::logic_error("LruList: per-file account drift for " + file);
+  for (const auto& [id, bytes] : per_file_bytes) {
+    const double have = id < files_.size() ? files_[id].bytes : 0.0;
+    if (!close(bytes, have)) {
+      throw std::logic_error("LruList: per-file account drift for file id " +
+                             std::to_string(id));
     }
   }
-  for (const auto& [file, acct] : files_) {
+  for (std::uint32_t id = 0; id < files_.size(); ++id) {
+    const FileAccount& acct = files_[id];
     double expect_dirty = 0.0;
-    auto dirty_it = per_file_dirty.find(file);
+    auto dirty_it = per_file_dirty.find(id);
     if (dirty_it != per_file_dirty.end()) expect_dirty = dirty_it->second;
     if (!close(expect_dirty, acct.dirty_bytes)) {
-      throw std::logic_error("LruList: per-file dirty account drift for " + file);
+      throw std::logic_error("LruList: per-file dirty account drift for " + acct.file.str());
     }
   }
 }

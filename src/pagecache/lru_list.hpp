@@ -5,15 +5,19 @@
 // Two instances (inactive + active) form the kernel's two-list strategy in
 // the MemoryManager.  Beyond the ordered block list itself, the list
 // maintains:
-//   * an id -> node hash index, making find() O(1) (the periodic flusher
-//     revalidates candidates by id across simulated awaits);
+//   * an id -> slot index, making find() O(1) (the periodic flusher
+//     revalidates candidates by id across simulated awaits).  It is a flat
+//     open-addressing table (IdIndex), so inserting or erasing a block
+//     allocates nothing;
 //   * dirty and clean chains ordered by list position, so lru_dirty()
 //     and lru_clean() are O(1) head reads — and when an exclude_file is
 //     given they skip only that file's blocks instead of scanning the list;
 //   * per-file accounting with a dirty/clean byte split and a per-file
 //     dirty chain, so file_bytes(), clean_excluding() and lru_dirty_of()
 //     no longer scan (the round-robin read model of Figure 3 and fsync ask
-//     these constantly).
+//     these constantly).  Blocks name their file by interned FileName id,
+//     and the accounts are a dense vector indexed by that id: no string is
+//     hashed, copied or compared on any list operation.
 //
 // Storage is a freelist-backed slab (the atomkv cacher page_pool_ idiom):
 // every node lives at a stable uint32 index in one contiguous vector, and
@@ -36,10 +40,10 @@
 #include <iterator>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pagecache/block.hpp"
+#include "pagecache/id_index.hpp"
 
 namespace pcs::cache {
 
@@ -52,7 +56,7 @@ class LruList {
   /// Public inheritance keeps the historical element API — iterators
   /// dereference to something usable as a DataBlock.
   struct Node : DataBlock {
-    explicit Node(DataBlock b) : DataBlock(std::move(b)) {}
+    explicit Node(const DataBlock& b) : DataBlock(b) {}
     double order_key = 0.0;  ///< strictly increasing along the list
     std::uint32_t prev = kNil;       ///< main chain (also the freelist link)
     std::uint32_t next = kNil;
@@ -196,20 +200,25 @@ class LruList {
   [[nodiscard]] double total() const { return total_; }
   [[nodiscard]] double dirty_total() const { return dirty_; }
   [[nodiscard]] double clean_total() const { return total_ - dirty_; }
-  [[nodiscard]] double file_bytes(const std::string& file) const;
+  [[nodiscard]] double file_bytes(FileName file) const;
   /// Per-file byte totals (for cache-content probes, Fig 4c), ordered by
   /// file name so serialized output stays deterministic.
   [[nodiscard]] std::map<std::string, double> per_file() const;
   /// Clean bytes excluding one file (eviction candidates wrt. an
   /// exclusion).  O(1): per-file accounting keeps the dirty/clean split.
-  [[nodiscard]] double clean_excluding(const std::string& exclude_file) const;
+  [[nodiscard]] double clean_excluding(FileName exclude_file) const;
 
-  /// Least recently used dirty block, or end().
-  [[nodiscard]] iterator lru_dirty(const std::string& exclude_file = "");
+  /// Least recently used dirty block, or end().  Blocks of `exclude_file`
+  /// are skipped; the default (no file) excludes nothing.
+  [[nodiscard]] iterator lru_dirty(FileName exclude_file = {});
   /// Least recently used clean block, or end().
-  [[nodiscard]] iterator lru_clean(const std::string& exclude_file = "");
+  [[nodiscard]] iterator lru_clean(FileName exclude_file = {});
   /// Least recently used dirty block belonging to `file`, or end() (fsync).
-  [[nodiscard]] iterator lru_dirty_of(const std::string& file);
+  [[nodiscard]] iterator lru_dirty_of(FileName file);
+
+  /// Append the ids of the dirty blocks expired at `now` (see
+  /// DataBlock::expired), in list order.  Walks only the dirty chain.
+  void append_expired(double now, double expire_after, std::vector<std::uint64_t>& out) const;
 
   /// Find by block id (used by the periodic flusher to revalidate
   /// candidates across simulated awaits); end() if gone.  O(1).
@@ -229,12 +238,16 @@ class LruList {
   void check_invariants() const;
 
  private:
+  /// One file's share of the list.  A slot whose bytes drained to at most
+  /// kEps with no dirty block left is reset to this zeroed state, which
+  /// every query treats as "file absent".
   struct FileAccount {
     double bytes = 0.0;
     double dirty_bytes = 0.0;
     std::uint32_t dirty_head = kNil;  ///< per-file dirty chain, list order
     std::uint32_t dirty_tail = kNil;
     std::uint32_t dirty_count = 0;
+    FileName file;  ///< owner of this slot while present
   };
 
   std::vector<Node> slab_;
@@ -248,11 +261,18 @@ class LruList {
   std::uint32_t clean_tail_ = kNil;
   double total_ = 0.0;
   double dirty_ = 0.0;
-  std::unordered_map<std::uint64_t, std::uint32_t> by_id_;
-  std::unordered_map<std::string, FileAccount> files_;
+  IdIndex by_id_;
+  std::vector<FileAccount> files_;  ///< indexed by FileName id
 
-  /// Claim a slot (freelist first) and move `block` into it.
-  std::uint32_t alloc_node(DataBlock block);
+  /// The account of `file`, growing the vector on first sight.
+  FileAccount& account(FileName file);
+  /// The account of `file`, or null if the vector has never reached it.
+  [[nodiscard]] const FileAccount* find_account(FileName file) const;
+  /// Reset the account to absent once its bytes drained with no dirty block.
+  static void release_if_drained(FileAccount& acct);
+
+  /// Claim a slot (freelist first) and copy `block` into it.
+  std::uint32_t alloc_node(const DataBlock& block);
   /// Return a fully unlinked slot to the freelist.
   void release_node(std::uint32_t idx);
   /// Link `idx` into the main chain immediately before `pos` (kNil = tail).
@@ -275,7 +295,7 @@ class LruList {
   void index_remove(std::uint32_t idx);
   /// Place a new node before `pos`, wiring links, order key and chains
   /// (shared by insert and split; accounting is the caller's job).
-  std::uint32_t emplace_node(std::uint32_t pos, DataBlock block);
+  std::uint32_t emplace_node(std::uint32_t pos, const DataBlock& block);
   /// Assign the (already main-linked) node an order key between its
   /// neighbours; renumbers all keys when midpoints degenerate.
   void assign_order_key(std::uint32_t idx);

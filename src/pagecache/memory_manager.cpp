@@ -29,18 +29,18 @@ MemoryManager::MemoryManager(sim::Engine& engine, const CacheParams& params, dou
   }
 }
 
-double MemoryManager::evictable(const std::string& exclude_file) const {
+double MemoryManager::evictable(FileName exclude_file) const {
   return inactive_.clean_excluding(exclude_file);
 }
 
-sim::Task<> MemoryManager::write_back(std::string file, double bytes) {
+sim::Task<> MemoryManager::write_back(FileName file, double bytes) {
   const double start = engine_.now();
   flushed_bytes_ += bytes;
-  co_await store_.write(file, bytes);
-  if (io_observer_) io_observer_("flush", file, bytes, start, engine_.now());
+  co_await store_.write(file.str(), bytes);
+  if (io_observer_) io_observer_("flush", file.str(), bytes, start, engine_.now());
 }
 
-sim::Task<> MemoryManager::flush(double amount, std::string exclude_file) {
+sim::Task<> MemoryManager::flush(double amount, FileName exclude_file) {
   // "When called with negative arguments, [flush and evict] simply return."
   if (amount <= kEps) co_return;
   double flushed = 0.0;
@@ -64,10 +64,9 @@ sim::Task<> MemoryManager::flush(double amount, std::string exclude_file) {
     // As in Algorithm 1, the dirty flag drops before the simulated write;
     // the write time is charged to this actor via the backing store.
     list->set_dirty(it, false);
-    const std::string file = it->file;
     const double bytes = it->size;
     flushed += bytes;
-    co_await write_back(file, bytes);
+    co_await write_back(it->file, bytes);
   }
 }
 
@@ -77,12 +76,8 @@ sim::Task<double> MemoryManager::flush_expired_blocks() {
   // awaits simulated time during which other actors may evict, split or
   // flush the same blocks.
   std::vector<std::uint64_t> candidates;
-  for (const DataBlock& b : inactive_) {
-    if (b.expired(start, params_.dirty_expire)) candidates.push_back(b.id);
-  }
-  for (const DataBlock& b : active_) {
-    if (b.expired(start, params_.dirty_expire)) candidates.push_back(b.id);
-  }
+  inactive_.append_expired(start, params_.dirty_expire, candidates);
+  active_.append_expired(start, params_.dirty_expire, candidates);
   for (std::uint64_t id : candidates) {
     LruList* list = &inactive_;
     auto it = inactive_.find(id);
@@ -93,14 +88,12 @@ sim::Task<double> MemoryManager::flush_expired_blocks() {
     }
     if (!it->dirty) continue;  // flushed by someone else meanwhile
     list->set_dirty(it, false);
-    const std::string file = it->file;
-    const double bytes = it->size;
-    co_await write_back(file, bytes);
+    co_await write_back(it->file, it->size);
   }
   co_return engine_.now() - start;
 }
 
-sim::Task<> MemoryManager::fsync(std::string file) {
+sim::Task<> MemoryManager::fsync(FileName file) {
   while (true) {
     LruList* list = &inactive_;
     auto it = inactive_.lru_dirty_of(file);
@@ -115,7 +108,7 @@ sim::Task<> MemoryManager::fsync(std::string file) {
   }
 }
 
-void MemoryManager::evict(double amount, const std::string& exclude_file) {
+void MemoryManager::evict(double amount, FileName exclude_file) {
   if (amount <= kEps) return;
   double evicted = 0.0;
   while (evicted < amount - kEps) {
@@ -152,7 +145,7 @@ void MemoryManager::evict(double amount, const std::string& exclude_file) {
   PCS_CHECK_INVARIANTS(check_invariants());
 }
 
-double MemoryManager::touch_cached(const std::string& file, double amount) {
+double MemoryManager::touch_cached(FileName file, double amount) {
   if (amount <= kEps) return 0.0;
   const double now = engine_.now();
 
@@ -212,15 +205,15 @@ double MemoryManager::touch_cached(const std::string& file, double amount) {
   return served;
 }
 
-sim::Task<double> MemoryManager::read_from_cache(std::string file, double amount) {
+sim::Task<double> MemoryManager::read_from_cache(FileName file, double amount) {
   const double served = touch_cached(file, amount);
   if (served > kEps) {
-    co_await engine_.submit("cache-read:" + file, sim::one(mem_read_), served);
+    co_await engine_.submit("cache-read:" + file.str(), sim::one(mem_read_), served);
   }
   co_return served;
 }
 
-double MemoryManager::add_to_cache(const std::string& file, double amount, bool dirty) {
+double MemoryManager::add_to_cache(FileName file, double amount, bool dirty) {
   if (amount <= kEps) return 0.0;
   if (free_mem() < amount - kEps) {
     // Direct reclaim: another actor consumed the headroom the caller made
@@ -236,13 +229,13 @@ double MemoryManager::add_to_cache(const std::string& file, double amount, bool 
   block.entry_time = engine_.now();
   block.last_access = engine_.now();
   block.dirty = dirty;
-  inactive_.insert(std::move(block));
+  inactive_.insert(block);
   if (!dirty) miss_bytes_ += amount;  // clean fill: bytes that came off the device
   PCS_CHECK_INVARIANTS(check_invariants());
   return amount;
 }
 
-sim::Task<> MemoryManager::write_to_cache(std::string file, double amount) {
+sim::Task<> MemoryManager::write_to_cache(FileName file, double amount) {
   if (amount <= kEps) co_return;
   if (free_mem() < amount - kEps) {
     throw CacheError("write_to_cache: caller must ensure free memory first (asked " +
@@ -257,8 +250,8 @@ sim::Task<> MemoryManager::write_to_cache(std::string file, double amount) {
   block.entry_time = engine_.now();
   block.last_access = engine_.now();
   block.dirty = true;
-  inactive_.insert(std::move(block));
-  co_await engine_.submit("cache-write:" + file, sim::one(mem_write_), amount);
+  inactive_.insert(block);
+  co_await engine_.submit("cache-write:" + file.str(), sim::one(mem_write_), amount);
 }
 
 void MemoryManager::allocate_anonymous(double amount) {
@@ -303,7 +296,7 @@ sim::Task<> MemoryManager::periodic_flush_loop() {
   }
 }
 
-void MemoryManager::drop_file(const std::string& file) {
+void MemoryManager::drop_file(FileName file) {
   for (LruList* list : {&inactive_, &active_}) {
     for (auto it = list->begin(); it != list->end();) {
       if (it->file == file) {

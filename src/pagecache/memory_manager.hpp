@@ -67,14 +67,14 @@ class MemoryManager {
   [[nodiscard]] double total_mem() const { return total_mem_; }
   [[nodiscard]] double free_mem() const { return total_mem_ - cached() - anonymous_; }
   [[nodiscard]] double cached() const { return inactive_.total() + active_.total(); }
-  [[nodiscard]] double cached(const std::string& file) const {
+  [[nodiscard]] double cached(FileName file) const {
     return inactive_.file_bytes(file) + active_.file_bytes(file);
   }
   [[nodiscard]] double dirty() const { return inactive_.dirty_total() + active_.dirty_total(); }
   [[nodiscard]] double anonymous() const { return anonymous_; }
   /// Bytes evictable right now: clean data in the inactive list (eviction
   /// never touches the active list; balancing refills the inactive list).
-  [[nodiscard]] double evictable(const std::string& exclude_file = "") const;
+  [[nodiscard]] double evictable(FileName exclude_file = {}) const;
   /// The synchronous-write threshold: dirty_ratio x total memory.
   [[nodiscard]] double dirty_limit() const { return params_.dirty_ratio * total_mem_; }
 
@@ -104,22 +104,23 @@ class MemoryManager {
   /// partial blocks are split).  Non-positive amounts return immediately.
   /// `exclude_file` blocks of that file are skipped (Algorithm 2 passes the
   /// file currently being read).
-  [[nodiscard]] sim::Task<> flush(double amount, std::string exclude_file = "");
+  [[nodiscard]] sim::Task<> flush(double amount, FileName exclude_file = {});
 
   /// Flush every expired dirty block (used by the periodic flusher);
-  /// returns the simulated time spent writing.
+  /// returns the simulated time spent writing.  Candidates come from the
+  /// lists' dirty chains (inactive, then active, each in list order).
   [[nodiscard]] sim::Task<double> flush_expired_blocks();
 
   /// fsync(2): write back every dirty block of `file`; returns once the
   /// file has no dirty data left (including data dirtied concurrently
   /// while this fsync was writing, as the kernel's fsync does).
-  [[nodiscard]] sim::Task<> fsync(std::string file);
+  [[nodiscard]] sim::Task<> fsync(FileName file);
 
   /// Drop least-recently-used *clean* blocks from the inactive list until
   /// `amount` bytes are evicted or no clean block remains; the last block is
   /// split if it does not have to be entirely evicted.  Zero simulated cost
   /// (paper: eviction overhead is negligible in real systems).
-  void evict(double amount, const std::string& exclude_file = "");
+  void evict(double amount, FileName exclude_file = {});
 
   /// Simulate reading `amount` cached bytes of `file`: data moves at memory
   /// read bandwidth and the touched blocks migrate to the active list
@@ -129,24 +130,24 @@ class MemoryManager {
   /// file between planning and reading, in which case the caller re-reads
   /// the shortfall from the backing store (a page fault on a reclaimed
   /// page).
-  [[nodiscard]] sim::Task<double> read_from_cache(std::string file, double amount);
+  [[nodiscard]] sim::Task<double> read_from_cache(FileName file, double amount);
 
   /// The LRU bookkeeping of read_from_cache without the timed memory
   /// transfer: migrates up to `amount` cached bytes of `file` to the active
   /// list and returns the bytes found.  Used by remote-storage paths that
   /// time the transfer as their own composite network+device flow.
-  double touch_cached(const std::string& file, double amount);
+  double touch_cached(FileName file, double amount);
 
   /// Account `amount` freshly read bytes of `file` as a clean block in the
   /// inactive list (the disk read itself is the caller's activity).
   /// Best-effort: evicts clean data if free memory is short and caches only
   /// what fits (the kernel never fails a read because the cache is full).
   /// Returns the bytes actually cached.
-  double add_to_cache(const std::string& file, double amount, bool dirty = false);
+  double add_to_cache(FileName file, double amount, bool dirty = false);
 
   /// Simulate writing `amount` new bytes of `file` into the cache: a dirty
   /// block appended to the inactive list, timed on the memory write channel.
-  [[nodiscard]] sim::Task<> write_to_cache(std::string file, double amount);
+  [[nodiscard]] sim::Task<> write_to_cache(FileName file, double amount);
 
   // --- anonymous memory ----------------------------------------------------
 
@@ -173,7 +174,7 @@ class MemoryManager {
 
   /// Invalidate every cached block of `file` (file deletion/truncation).
   /// Dirty bytes are discarded without writeback, like a removed file.
-  void drop_file(const std::string& file);
+  void drop_file(FileName file);
 
   /// Model a host crash: both LRU lists are emptied (dirty blocks discarded
   /// without writeback — the data that was only in memory is lost) and all
@@ -196,7 +197,7 @@ class MemoryManager {
   [[nodiscard]] std::uint64_t next_block_id() { return block_seq_++; }
 
   /// store_.write wrapped with the observer notification.
-  [[nodiscard]] sim::Task<> write_back(std::string file, double bytes);
+  [[nodiscard]] sim::Task<> write_back(FileName file, double bytes);
 
   sim::Engine& engine_;
   CacheParams params_;

@@ -56,7 +56,7 @@ void AnalyticSim::background_flush() {
   }
 }
 
-void AnalyticSim::flush_sync(double amount, const std::string& exclude) {
+void AnalyticSim::flush_sync(double amount, cache::FileName exclude) {
   if (amount <= kEps) return;
   double flushed = 0.0;
   while (flushed < amount - kEps) {
@@ -79,7 +79,7 @@ void AnalyticSim::flush_sync(double amount, const std::string& exclude) {
   advance(flushed / config_.disk_write_bw);
 }
 
-void AnalyticSim::evict(double amount, const std::string& exclude) {
+void AnalyticSim::evict(double amount, cache::FileName exclude) {
   if (amount <= kEps) return;
   double evicted = 0.0;
   while (evicted < amount - kEps) {
@@ -129,7 +129,7 @@ void AnalyticSim::balance_lists() {
   }
 }
 
-double AnalyticSim::touch_cached(const std::string& file, double amount) {
+double AnalyticSim::touch_cached(cache::FileName file, double amount) {
   if (amount <= kEps) return 0.0;
   struct Touched {
     cache::LruList* list;
@@ -175,7 +175,7 @@ double AnalyticSim::touch_cached(const std::string& file, double amount) {
   return amount - std::max(0.0, remaining);
 }
 
-void AnalyticSim::add_to_cache(const std::string& file, double amount) {
+void AnalyticSim::add_to_cache(cache::FileName file, double amount) {
   // Best-effort insert, mirroring MemoryManager::add_to_cache: reclaim what
   // is needed, cache only what fits.
   if (amount <= kEps) return;
@@ -192,7 +192,7 @@ void AnalyticSim::add_to_cache(const std::string& file, double amount) {
   inactive_.insert(std::move(block));
 }
 
-void AnalyticSim::read_chunk(const std::string& file, double fs, double cs) {
+void AnalyticSim::read_chunk(cache::FileName file, double fs, double cs) {
   // Algorithm 2 with the basic storage model.
   double disk_read = std::min(cs, std::max(0.0, fs - cached(file)));
   double cache_read = cs - disk_read;
@@ -220,7 +220,8 @@ void AnalyticSim::read_chunk(const std::string& file, double fs, double cs) {
     evict(cs - free_mem(), file);
   }
   if (free_mem() < cs - kEps) {
-    throw std::runtime_error("AnalyticSim: anonymous memory overcommit reading '" + file + "'");
+    throw std::runtime_error("AnalyticSim: anonymous memory overcommit reading '" + file.str() +
+                             "'");
   }
   anon_ += cs;
 }
@@ -228,16 +229,17 @@ void AnalyticSim::read_chunk(const std::string& file, double fs, double cs) {
 void AnalyticSim::read_file(const std::string& name, double chunk_size) {
   const double size = file_size(name);
   if (chunk_size <= 0.0) chunk_size = size;
+  const cache::FileName file = name;
   double remaining = size;
   while (remaining > kEps) {
     double cs = std::min(chunk_size, remaining);
-    read_chunk(name, size, cs);
+    read_chunk(file, size, cs);
     remaining -= cs;
     record();
   }
 }
 
-void AnalyticSim::write_chunk(const std::string& file, double cs) {
+void AnalyticSim::write_chunk(cache::FileName file, double cs) {
   // Algorithm 3 with the basic storage model.
   double mem_amt = 0.0;
   double remain_dirty = dirty_limit() - dirty();
@@ -287,10 +289,11 @@ void AnalyticSim::write_file(const std::string& name, double size, double chunk_
     it->second = std::max(it->second, size);
   }
   if (chunk_size <= 0.0) chunk_size = size;
+  const cache::FileName file = name;
   double remaining = size;
   while (remaining > kEps) {
     double cs = std::min(chunk_size, remaining);
-    write_chunk(name, cs);
+    write_chunk(file, cs);
     remaining -= cs;
     record();
   }

@@ -50,7 +50,7 @@ class AnalyticSim {
 
   // --- state inspection ----------------------------------------------------
   [[nodiscard]] double cached() const { return inactive_.total() + active_.total(); }
-  [[nodiscard]] double cached(const std::string& file) const {
+  [[nodiscard]] double cached(cache::FileName file) const {
     return inactive_.file_bytes(file) + active_.file_bytes(file);
   }
   [[nodiscard]] double dirty() const {
@@ -74,16 +74,16 @@ class AnalyticSim {
   /// Synchronous flush of `amount` dirty bytes; advances the clock.
   /// Blocks of `exclude` are skipped (Algorithm 2 passes the file being
   /// read so its dirty blocks stay untouched).
-  void flush_sync(double amount, const std::string& exclude = "");
-  void evict(double amount, const std::string& exclude = "");
-  [[nodiscard]] double evictable(const std::string& exclude = "") const {
+  void flush_sync(double amount, cache::FileName exclude = {});
+  void evict(double amount, cache::FileName exclude = {});
+  [[nodiscard]] double evictable(cache::FileName exclude = {}) const {
     return inactive_.clean_excluding(exclude);
   }
   void balance_lists();
-  double touch_cached(const std::string& file, double amount);
-  void add_to_cache(const std::string& file, double amount);
-  void read_chunk(const std::string& file, double file_size, double cs);
-  void write_chunk(const std::string& file, double cs);
+  double touch_cached(cache::FileName file, double amount);
+  void add_to_cache(cache::FileName file, double amount);
+  void read_chunk(cache::FileName file, double file_size, double cs);
+  void write_chunk(cache::FileName file, double cs);
   void record() { profile_.push_back(snapshot()); }
   [[nodiscard]] std::uint64_t next_id() { return block_seq_++; }
 

@@ -53,10 +53,11 @@ cache::CacheSnapshot NfsServer::snapshot() const {
 void NfsServer::warm_file(const std::string& name) {
   const double size = fs_.size_of(name);  // throws if absent
   if (!mm_) return;
-  const double already = mm_->cached(name);
+  const cache::FileName id = name;
+  const double already = mm_->cached(id);
   if (size - already <= 0.0) return;
   mm_->evict(size - already - mm_->free_mem());
-  mm_->add_to_cache(name, size - already, /*dirty=*/false);
+  mm_->add_to_cache(id, size - already, /*dirty=*/false);
 }
 
 // --- NfsMount ----------------------------------------------------------------
@@ -113,8 +114,9 @@ sim::Task<> NfsMount::sync_file(const std::string& name) {
 
 void NfsMount::remove_file(const std::string& name) {
   server_.fs().remove(name);
-  if (mm_) mm_->drop_file(name);
-  if (cache::MemoryManager* srv = server_.memory_manager()) srv->drop_file(name);
+  const cache::FileName id = name;
+  if (mm_) mm_->drop_file(id);
+  if (cache::MemoryManager* srv = server_.memory_manager()) srv->drop_file(id);
 }
 
 sim::Task<> NfsMount::read(const std::string& file, double bytes) {
@@ -130,8 +132,8 @@ sim::Task<> NfsMount::read(const std::string& file, double bytes) {
     co_return;
   }
   const double file_size = server_.fs().size_of(file);
-  const double srv_uncached =
-      std::min(bytes, std::max(0.0, file_size - srv_mm->cached(file)));
+  const cache::FileName id = file;  // interned once for the server-cache calls
+  const double srv_uncached = std::min(bytes, std::max(0.0, file_size - srv_mm->cached(id)));
   double srv_hit = bytes - srv_uncached;
 
   if (srv_uncached > kEps) {
@@ -140,10 +142,10 @@ sim::Task<> NfsMount::read(const std::string& file, double bytes) {
     co_await engine_.submit("nfs-read-miss:" + file,
                             with_route(server_.disk().read_channel()), srv_uncached);
     srv_mm->evict(srv_uncached - srv_mm->free_mem());
-    srv_mm->add_to_cache(file, srv_uncached);
+    srv_mm->add_to_cache(id, srv_uncached);
   }
   if (srv_hit > kEps) {
-    const double served = srv_mm->touch_cached(file, srv_hit);
+    const double served = srv_mm->touch_cached(id, srv_hit);
     if (served > kEps) {
       co_await engine_.submit("nfs-read-hit:" + file,
                               with_route(server_.host().mem_read_channel()), served);
@@ -153,7 +155,7 @@ sim::Task<> NfsMount::read(const std::string& file, double bytes) {
       co_await engine_.submit("nfs-read-miss:" + file,
                               with_route(server_.disk().read_channel()), shortfall);
       srv_mm->evict(shortfall - srv_mm->free_mem());
-      srv_mm->add_to_cache(file, shortfall);
+      srv_mm->add_to_cache(id, shortfall);
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "pagecache/memory_manager.hpp"
 #include "tracelog/recorder.hpp"
 #include "util/log.hpp"
 
@@ -138,62 +139,70 @@ sim::Task<> ComputeService::run_task(WorkflowRun* run, std::string task_name,
   r.name = qualified(*run, task_name);
   r.start = engine_.now();
 
-  r.read_start = engine_.now();
-  for (const FileSpec& input : task.inputs) {
-    const double op_start = engine_.now();
-    co_await storage_.read_file(input.name, chunk);
-    if (recorder_ != nullptr) {
-      // The bytes actually transferred: the file's registered size, which a
-      // mismatched producer declaration can make differ from input.size.
-      recorder_->record_io({"read", input.name, storage_.file_size(input.name), op_start,
-                            engine_.now(), recorder_service_, r.name});
+  // Page-cache errors (out of memory, a stalled writer) arise deep in the
+  // storage stack, which knows files but not tasks: name the task here.
+  // The error still propagates unchanged in type, so retry policies and
+  // on_task_failure see exactly what they saw before.
+  try {
+    r.read_start = engine_.now();
+    for (const FileSpec& input : task.inputs) {
+      const double op_start = engine_.now();
+      co_await storage_.read_file(input.name, chunk);
+      if (recorder_ != nullptr) {
+        // The bytes actually transferred: the file's registered size, which a
+        // mismatched producer declaration can make differ from input.size.
+        recorder_->record_io({"read", input.name, storage_.file_size(input.name), op_start,
+                              engine_.now(), recorder_service_, r.name});
+      }
     }
-  }
-  r.read_end = engine_.now();
+    r.read_end = engine_.now();
 
-  if (task.flops > 0.0) {
-    if (checkpoint_.enabled()) {
-      // Checkpointed compute: resume past durable progress, then run in
-      // segments of `interval` compute-seconds, saving after each one.
-      double done = 0.0;
-      if (const auto it = run->checkpointed.find(task_name); it != run->checkpointed.end()) {
-        done = std::min(it->second, task.flops);
-      }
-      if (attempt > 1 && done > 0.0 && checkpoint_.restart_penalty > 0.0) {
-        co_await engine_.sleep(checkpoint_.restart_penalty);
-      }
-      // interval is wall-clock compute seconds at full core speed; contention
-      // stretches a segment but the saved granularity stays fixed in flops.
-      const double segment = checkpoint_.interval * host_.speed();
-      while (done < task.flops) {
-        const double slice = std::min(segment, task.flops - done);
-        co_await engine_.submit("compute:" + r.name, sim::one(host_.cpu()), slice, host_.speed());
-        done += slice;
-        if (done < task.flops) {
-          // The checkpoint is durable only once its cost is fully paid: a
-          // crash mid-write keeps the previous checkpoint.
-          if (checkpoint_.cost > 0.0) co_await engine_.sleep(checkpoint_.cost);
-          run->checkpointed[task_name] = done;
+    if (task.flops > 0.0) {
+      if (checkpoint_.enabled()) {
+        // Checkpointed compute: resume past durable progress, then run in
+        // segments of `interval` compute-seconds, saving after each one.
+        double done = 0.0;
+        if (const auto it = run->checkpointed.find(task_name); it != run->checkpointed.end()) {
+          done = std::min(it->second, task.flops);
         }
+        if (attempt > 1 && done > 0.0 && checkpoint_.restart_penalty > 0.0) {
+          co_await engine_.sleep(checkpoint_.restart_penalty);
+        }
+        // interval is wall-clock compute seconds at full core speed; contention
+        // stretches a segment but the saved granularity stays fixed in flops.
+        const double segment = checkpoint_.interval * host_.speed();
+        while (done < task.flops) {
+          const double slice = std::min(segment, task.flops - done);
+          co_await engine_.submit("compute:" + r.name, sim::one(host_.cpu()), slice, host_.speed());
+          done += slice;
+          if (done < task.flops) {
+            // The checkpoint is durable only once its cost is fully paid: a
+            // crash mid-write keeps the previous checkpoint.
+            if (checkpoint_.cost > 0.0) co_await engine_.sleep(checkpoint_.cost);
+            run->checkpointed[task_name] = done;
+          }
+        }
+      } else {
+        // One core: the task's rate is bounded by the core speed while the
+        // host-wide CPU resource is shared with every other running task.
+        co_await engine_.submit("compute:" + r.name, sim::one(host_.cpu()), task.flops,
+                                host_.speed());
       }
-    } else {
-      // One core: the task's rate is bounded by the core speed while the
-      // host-wide CPU resource is shared with every other running task.
-      co_await engine_.submit("compute:" + r.name, sim::one(host_.cpu()), task.flops,
-                              host_.speed());
     }
-  }
-  r.compute_end = engine_.now();
+    r.compute_end = engine_.now();
 
-  for (const FileSpec& output : task.outputs) {
-    const double op_start = engine_.now();
-    co_await storage_.write_file(output.name, output.size, chunk);
-    if (recorder_ != nullptr) {
-      recorder_->record_io({"write", output.name, output.size, op_start, engine_.now(),
-                            recorder_service_, r.name});
+    for (const FileSpec& output : task.outputs) {
+      const double op_start = engine_.now();
+      co_await storage_.write_file(output.name, output.size, chunk);
+      if (recorder_ != nullptr) {
+        recorder_->record_io({"write", output.name, output.size, op_start, engine_.now(),
+                              recorder_service_, r.name});
+      }
     }
+    r.write_end = engine_.now();
+  } catch (const cache::CacheError& e) {
+    throw cache::CacheError("task '" + r.name + "': " + e.what());
   }
-  r.write_end = engine_.now();
   r.end = engine_.now();
   r.attempts = attempt;
   if (const auto it = run->aborted.find(task_name); it != run->aborted.end()) {

@@ -121,6 +121,26 @@ TEST_F(ComputeServiceTest, AnonymousMemoryReleasedAfterTask) {
   EXPECT_DOUBLE_EQ(storage_->memory_manager()->anonymous(), 0.0);
 }
 
+TEST_F(ComputeServiceTest, OutOfMemoryErrorNamesTheTask) {
+  ComputeService cs(engine_, *host_, *storage_, 50.0);
+  // Retries apply to host crashes only; a page-cache error still ends the
+  // run at once, with its type unchanged.
+  cs.set_retry_policy({.max_attempts = 3, .backoff = 1.0});
+  Workflow wf;
+  wf.add_task("big", 0.0);
+  wf.add_input("big", "huge", 1200.0);  // the 1000 B host cannot hold its copy
+  cs.submit(wf);
+  try {
+    engine_.run();
+    FAIL() << "expected CacheError";
+  } catch (const cache::CacheError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("task 'big': allocate_anonymous: out of memory", 0),
+              0u)
+        << e.what();
+  }
+  EXPECT_EQ(cs.retried_task_count(), 0u);
+}
+
 TEST_F(ComputeServiceTest, InvalidChunkSizeRejected) {
   EXPECT_THROW(ComputeService(engine_, *host_, *storage_, 0.0), WorkflowError);
   EXPECT_THROW(ComputeService(engine_, *host_, *storage_, -5.0), WorkflowError);

@@ -194,5 +194,57 @@ TEST_P(LruListProperty, RandomOpsPreserveInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomOps, LruListProperty, ::testing::Range(0, 8));
 
+// A file's account that drains to a rounding residue must read as absent,
+// so a refill reports exactly the new block's bytes (the per-file snapshots
+// of Fig 4c are compared byte for byte).
+TEST(LruList, DrainedAccountRefillsExactly) {
+  for (const bool dirty : {false, true}) {
+    LruList list;
+    // 0.1 + 0.2 - 0.1 - 0.2 leaves a ~5.6e-17 residue in a running sum.
+    list.insert(make_block(1, "f", 0.1, 1.0, dirty));
+    list.insert(make_block(2, "f", 0.2, 2.0, dirty));
+    list.insert(make_block(3, "g", 5.0, 3.0));
+    list.erase(list.find(1));
+    list.erase(list.find(2));
+    EXPECT_EQ(list.file_bytes("f"), 0.0);
+    EXPECT_EQ(list.per_file().count("f"), 0u);
+    list.insert(make_block(4, "f", 0.1, 4.0));  // small enough to show the residue
+    EXPECT_EQ(list.file_bytes("f"), 0.1);
+    EXPECT_EQ(list.per_file().at("f"), 0.1);
+    EXPECT_EQ(list.clean_excluding("f"), list.clean_total() - 0.1);
+    EXPECT_EQ(list.lru_dirty_of("f"), list.end());
+    list.check_invariants();
+  }
+}
+
+// The flusher's expiry scan walks only the dirty chain; it must name the
+// same blocks, in the same (list) order, as filtering the whole list.
+TEST(LruList, ExpiryScanMatchesFullListFilter) {
+  util::Rng rng(77);
+  LruList list;
+  std::uint64_t next_id = 1;
+  for (int round = 0; round < 400; ++round) {
+    DataBlock b = make_block(next_id++, "f" + std::to_string(rng.uniform_int(0, 9)),
+                             rng.uniform(1.0, 100.0), rng.uniform(0.0, 100.0),
+                             rng.bernoulli(0.5));
+    b.entry_time = rng.uniform(0.0, 100.0);
+    list.insert(b);
+    if (rng.bernoulli(0.3)) {
+      auto it = list.find(rng.uniform_int(1, next_id - 1));
+      if (it != list.end()) list.set_dirty(it, !it->dirty);
+    }
+    if (rng.bernoulli(0.2)) list.erase(list.begin());
+    const double now = rng.uniform(0.0, 150.0);
+    const double expire = rng.uniform(0.0, 60.0);
+    std::vector<std::uint64_t> want;
+    for (const DataBlock& blk : list) {
+      if (blk.expired(now, expire)) want.push_back(blk.id);
+    }
+    std::vector<std::uint64_t> got;
+    list.append_expired(now, expire, got);
+    ASSERT_EQ(got, want) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace pcs::cache

@@ -7,13 +7,15 @@
 // and the reference in lockstep: identical block order (= eviction order),
 // identical totals, identical per-file accounting, and identical answers
 // from every indexed query — this guards the id index, the dirty/clean
-// index sets, the per-file dirty index and the order-key machinery.
+// index sets, the per-file accounts and dirty index (keyed by interned file
+// id) and the order-key machinery.
 #include "pagecache/lru_list.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -118,19 +120,27 @@ class NaiveLru {
     return nullptr;
   }
 
+  /// Bytes per file that has at least one block, by name.
+  [[nodiscard]] std::map<std::string, double> per_file() const {
+    std::map<std::string, double> out;
+    for (const RefBlock& b : blocks_) out[b.file] += b.size;
+    return out;
+  }
+
   [[nodiscard]] const std::vector<RefBlock>& blocks() const { return blocks_; }
 
  private:
   std::vector<RefBlock> blocks_;
 };
 
-class LruProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(LruProperty, MatchesNaiveReference) {
-  util::Rng rng(0xabcdef00u + static_cast<std::uint64_t>(GetParam()));
+/// Run a random operation sequence over `n_files` files (named "a", "b",
+/// ...) against the naive reference, comparing after every operation.
+void run_lockstep(std::uint64_t seed, std::size_t n_files) {
+  util::Rng rng(seed);
   LruList list;
   NaiveLru ref;
-  const std::vector<std::string> files = {"a", "b", "c", "d", "e", "f"};
+  std::vector<std::string> files;
+  for (std::size_t i = 0; i < n_files; ++i) files.emplace_back(1, static_cast<char>('a' + i));
   std::uint64_t next_id = 1;
   double now = 0.0;
   const double tol = 1e-6;
@@ -226,6 +236,16 @@ TEST_P(LruProperty, MatchesNaiveReference) {
     }
     for (const std::string& f : files) {
       ASSERT_NEAR(list.file_bytes(f), ref.file_bytes(f), tol) << f;
+      ASSERT_NEAR(list.clean_excluding(f), ref.clean_excluding(f), tol) << f;
+    }
+    // per_file(): the same set of files, by name, with the same bytes.
+    const std::map<std::string, double> real_per_file = list.per_file();
+    const std::map<std::string, double> ref_per_file = ref.per_file();
+    ASSERT_EQ(real_per_file.size(), ref_per_file.size());
+    for (auto r = real_per_file.begin(), n = ref_per_file.begin(); r != real_per_file.end();
+         ++r, ++n) {
+      ASSERT_EQ(r->first, n->first);
+      ASSERT_NEAR(r->second, n->second, tol) << r->first;
     }
     const std::string exclude =
         rng.bernoulli(0.3) ? "" : files[rng.uniform_int(0, files.size() - 1)];
@@ -252,6 +272,18 @@ TEST_P(LruProperty, MatchesNaiveReference) {
     }
     ASSERT_EQ(list.find(next_id + 1000), list.end());
   }
+}
+
+class LruProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(LruProperty, MatchesNaiveReference) {
+  run_lockstep(0xabcdef00u + static_cast<std::uint64_t>(GetParam()), 6);
+}
+
+// Many files: sparse per-file accounts, most lookups miss the excluded
+// file, and accounts drain and refill constantly.
+TEST_P(LruProperty, ManyFilesMatchNaiveReference) {
+  run_lockstep(0x5eed0000u + static_cast<std::uint64_t>(GetParam()), 18);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSequences, LruProperty, ::testing::Range(0, 8));
